@@ -49,7 +49,6 @@ from .terms import (
     parse_signature,
     prim,
     render_signature,
-    term_equals,
 )
 from .tympanic import (
     ForeignSchema,

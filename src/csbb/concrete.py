@@ -31,13 +31,13 @@ from .patterns import (
 from .terms import (
     Con,
     ListTerm,
+    Prim,
     Signature,
     Term,
     TermDecodeError,
     adt,
     check_term,
     parse_signature,
-    term_equals,
     term_from_wire,
 )
 
@@ -317,12 +317,12 @@ def lower(cp: ConcretePattern, reg: ParserRegistry):
             ) from None
         table.append(HoleEntry(part.index, part.name, part.type, part.star, encoded, image))
         out.append(encoded)
-    for i, a in enumerate(table):
-        for b in table[i + 1:]:
-            if term_equals(a.image, b.image):
-                raise DuplicateHoleImage(
-                    f"holes {a.index} and {b.index} encode to the same parsed image"
-                )
+    first: dict = {}
+    pairs = [(first.setdefault(entry.image, entry).index, entry.index) for entry in table]
+    clashes = [(a, b) for a, b in pairs if a != b]
+    if clashes:
+        a, b = min(clashes)  # the earliest hole that has a twin, and its first twin
+        raise DuplicateHoleImage(f"holes {a} and {b} encode to the same parsed image")
     return "".join(out), table
 
 
@@ -335,6 +335,7 @@ def lift(t: Term, table: list, *, lenient: bool = False) -> Pattern:
     match on the colliding positions.
     """
     counts = {entry.index: 0 for entry in table}
+    by_image = {entry.image: entry for entry in reversed(table)}  # the first entry wins
 
     def replace(entry: HoleEntry, in_list: bool) -> Pattern:
         if entry.star:
@@ -348,21 +349,22 @@ def lift(t: Term, table: list, *, lenient: bool = False) -> Pattern:
         return PVar(entry.name, adt(entry.type))
 
     def go(node: Term, in_list: bool):
-        for entry in table:
-            if term_equals(entry.image, node):
-                counts[entry.index] += 1
-                return replace(entry, in_list), True
-        if isinstance(node, Con):
-            lifted = [go(a, False) for a in node.args]
-            if any(h for _, h in lifted):
-                return PCon(node.name, node.type, tuple(p for p, _ in lifted)), True
+        entry = by_image.get(node)
+        if entry is not None:
+            counts[entry.index] += 1
+            return replace(entry, in_list), True
+        if isinstance(node, Prim):
             return PLit(node), False
-        if isinstance(node, ListTerm):
-            lifted = [go(e, True) for e in node.elems]
-            if any(h for _, h in lifted):
-                return PList(tuple(p for p, _ in lifted), node.elem_type), True
+        is_list = isinstance(node, ListTerm)
+        lifted = []
+        for kid in node.elems if is_list else node.args:  # a loop, not a comprehension: half the stack
+            lifted.append(go(kid, is_list))
+        if not any(h for _, h in lifted):
             return PLit(node), False
-        return PLit(node), False
+        kids = tuple(p for p, _ in lifted)
+        if is_list:
+            return PList(kids, node.elem_type), True
+        return PCon(node.name, node.type, kids), True
 
     pattern, _ = go(t, False)
     for entry in table:
@@ -436,9 +438,10 @@ class SubprocessParser:
                 proc.stdin.flush()
                 line = proc.stdout.readline()
             except (BrokenPipeError, OSError) as e:
+                self._discard(proc)
                 raise ProtocolError(f"lost connection to {self.command}: {e}") from None
             if not line:
-                code = proc.poll()
+                code = self._discard(proc)
                 raise ProtocolError(
                     f"parser process {self.command} closed its stream (exit code {code}) before replying"
                 )
@@ -462,6 +465,18 @@ class SubprocessParser:
         except (KeyError, TypeError, ValueError):
             raise ProtocolError(f"malformed error response from {self.command}") from None
         raise ChildReportedSyntaxError(message, return_line, return_col)
+
+    def _discard(self, proc) -> int:
+        """Kill and reap a child that broke the protocol; the next request starts a fresh one."""
+        self._proc = None
+        proc.kill()  # a no-op if the child has already exited
+        code = proc.wait()
+        proc.stdout.close()
+        try:
+            proc.stdin.close()
+        except OSError:  # flushing what the dead child never read
+            pass
+        return code
 
     def close(self) -> None:
         proc, self._proc = self._proc, None

@@ -227,10 +227,12 @@ def handle_request(line: str) -> dict:
     if service is None:
         return {"ok": False, "line": 0, "col": 0, "message": f"unknown nonterminal {nonterminal}"}
     try:
-        term = service(text)
+        return {"ok": True, "term": json.loads(encode_term(service(text)))}
     except ExprLangSyntaxError as e:
         return {"ok": False, "line": e.line, "col": e.col, "message": e.message}
-    return {"ok": True, "term": json.loads(encode_term(term))}
+    except RecursionError:
+        # Refuse the input rather than die: the next request still needs this process.
+        return {"ok": False, "line": 0, "col": 0, "message": "input nests too deeply"}
 
 
 def main(argv=None) -> int:

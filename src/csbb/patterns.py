@@ -21,7 +21,6 @@ from .terms import (
     adt,
     check_term,
     list_of,
-    term_equals,
     term_root_type,
 )
 
@@ -170,28 +169,6 @@ def pattern_has_wildcards(p: Pattern) -> bool:
     return False
 
 
-def pattern_equals(a: Pattern, b: Pattern) -> bool:
-    """Structural pattern equality, comparing embedded terms with term_equals."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, PLit):
-        return term_equals(a.term, b.term)
-    if isinstance(a, PCon):
-        return (
-            a.name == b.name
-            and a.type == b.type
-            and len(a.args) == len(b.args)
-            and all(pattern_equals(x, y) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, PList):
-        return (
-            a.elem_type == b.elem_type
-            and len(a.elems) == len(b.elems)
-            and all(pattern_equals(x, y) for x, y in zip(a.elems, b.elems))
-        )
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Matching
 
@@ -217,13 +194,12 @@ def _match(p: Pattern, t: Term, env: Env) -> Iterator[Env]:
         yield env
     elif isinstance(p, PVar):
         if p.name in env:
-            bound = env[p.name]
-            if not isinstance(bound, tuple) and term_equals(bound, t):
+            if env[p.name] == t:  # a sequence binding, a tuple, never equals a term
                 yield env
         elif types_compatible(p.type, term_root_type(t)):
             yield {**env, p.name: t}
     elif isinstance(p, PLit):
-        if term_equals(p.term, t):
+        if p.term == t:
             yield env
     elif isinstance(p, PCon):
         if (
@@ -260,11 +236,7 @@ def _match_seq(ps: tuple, ts: tuple, env: Env) -> Iterator[Env]:
     elif isinstance(head, PSeqVar):
         if head.name in env:
             bound = env[head.name]
-            if (
-                isinstance(bound, tuple)
-                and len(bound) <= len(ts)
-                and all(term_equals(b, x) for b, x in zip(bound, ts))
-            ):
+            if isinstance(bound, tuple) and bound == ts[:len(bound)]:
                 yield from _match_seq(rest, ts[len(bound):], env)
         else:
             for k in range(len(ts) + 1):

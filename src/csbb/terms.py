@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import struct
 from dataclasses import dataclass
 
 PRIM_KINDS = ("int", "real", "bool", "str")
@@ -102,19 +101,41 @@ def maybe_of(elem: ArgType) -> ArgType:
 # Terms
 
 
-@dataclass(frozen=True)
+# Terms compare and hash structurally with == and hash(). Reals compare by bit
+# pattern, which for finite floats is value and sign. __eq__ goes field by field,
+# which takes less stack per level than a tuple compare. Con and ListTerm hash on
+# first use, not at construction, which would slow every parse.
+@dataclass(frozen=True, eq=False)
 class Con:
     """A constructor application, e.g. Con("number", "JSON", (Prim("real", 29.0),))."""
 
     name: str
     type: str
     args: tuple = ()
+    _hash = None  # not a field; stored by __hash__, alike from racing threads
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
 
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is Con
+            and self.name == other.name
+            and self.type == other.type
+            and self.args == other.args
+        )
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.name, self.type))
+            for a in self.args:
+                h = hash((h, a.__hash__()))  # half the stack of hash(a)
+            self.__dict__["_hash"] = h
+        return h
+
+
+@dataclass(frozen=True, eq=False)
 class Prim:
     """A primitive leaf. kind selects among int/real/bool/str."""
 
@@ -133,16 +154,44 @@ class Prim:
         if self.kind == "real" and not math.isfinite(self.value):
             raise ValueError("real primitives must be finite")
 
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is Prim
+            and self.kind == other.kind
+            and self.value == other.value
+            and (self.kind != "real" or math.copysign(1.0, self.value) == math.copysign(1.0, other.value))
+        )
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value))
+
+
+@dataclass(frozen=True, eq=False)
 class ListTerm:
     """A homogeneous list; carries its element type so empty lists stay typable."""
 
     elems: tuple
     elem_type: ArgType
+    _hash = None  # not a field; stored by __hash__, alike from racing threads
 
     def __post_init__(self):
         object.__setattr__(self, "elems", tuple(self.elems))
+
+    def __eq__(self, other) -> bool:
+        return (
+            other.__class__ is ListTerm
+            and self.elem_type == other.elem_type
+            and self.elems == other.elems
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self.elem_type)
+            for e in self.elems:
+                h = hash((h, e.__hash__()))  # half the stack of hash(e)
+            self.__dict__["_hash"] = h
+        return h
 
 
 Term = Con | Prim | ListTerm
@@ -154,30 +203,6 @@ def nothing_() -> Con:
 
 def just_(t: Term) -> Con:
     return Con("just", MAYBE_TYPE, (t,))
-
-
-def term_equals(a: Term, b: Term) -> bool:
-    """Structural equality. Reals compare by the exact bit pattern of the float."""
-    if isinstance(a, Con) and isinstance(b, Con):
-        return (
-            a.name == b.name
-            and a.type == b.type
-            and len(a.args) == len(b.args)
-            and all(term_equals(x, y) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, Prim) and isinstance(b, Prim):
-        if a.kind != b.kind:
-            return False
-        if a.kind == "real":
-            return struct.pack("<d", a.value) == struct.pack("<d", b.value)
-        return a.value == b.value
-    if isinstance(a, ListTerm) and isinstance(b, ListTerm):
-        return (
-            a.elem_type == b.elem_type
-            and len(a.elems) == len(b.elems)
-            and all(term_equals(x, y) for x, y in zip(a.elems, b.elems))
-        )
-    return False
 
 
 def term_root_type(t: Term) -> ArgType:

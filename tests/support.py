@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import re
+import struct
 
+from csbb.concrete import HoleCaptured, HoleNotFound, StarHoleNotInList
 from csbb.jsonlang import array, boolean, null_, number, obj, prop, string
 from csbb.patterns import (
+    PCon,
     PList,
     PLit,
     PSeqVar,
@@ -22,8 +25,8 @@ from csbb.terms import (
     Con,
     ListTerm,
     Prim,
+    adt,
     encode_term,
-    term_equals,
     term_root_type,
 )
 
@@ -217,6 +220,72 @@ def brute_well_typed(sig, t, at) -> bool:
     return t.name == "just" and len(t.args) == 1 and brute_well_typed(sig, t.args[0], at.elem)
 
 
+def term_equals(a, b) -> bool:
+    """Structural equality. Reals compare by the exact bit pattern of the float."""
+    if isinstance(a, Con) and isinstance(b, Con):
+        return (
+            a.name == b.name
+            and a.type == b.type
+            and len(a.args) == len(b.args)
+            and all(term_equals(x, y) for x, y in zip(a.args, b.args))
+        )
+    if isinstance(a, Prim) and isinstance(b, Prim):
+        if a.kind != b.kind:
+            return False
+        if a.kind == "real":
+            return struct.pack("<d", a.value) == struct.pack("<d", b.value)
+        return a.value == b.value
+    if isinstance(a, ListTerm) and isinstance(b, ListTerm):
+        return (
+            a.elem_type == b.elem_type
+            and len(a.elems) == len(b.elems)
+            and all(term_equals(x, y) for x, y in zip(a.elems, b.elems))
+        )
+    return False
+
+
+def lift_oracle(t, table: list, *, lenient: bool = False):
+    """Reference lift: compares every node with every hole image."""
+    counts = {entry.index: 0 for entry in table}
+
+    def replace(entry, in_list: bool):
+        if entry.star:
+            if not in_list:
+                raise StarHoleNotInList(entry.index)
+            if entry.name == "_":
+                return PSeqWild(adt(entry.type))
+            return PSeqVar(entry.name, adt(entry.type))
+        if entry.name == "_":
+            return PWild(adt(entry.type))
+        return PVar(entry.name, adt(entry.type))
+
+    def go(node, in_list: bool):
+        for entry in table:
+            if term_equals(entry.image, node):
+                counts[entry.index] += 1
+                return replace(entry, in_list), True
+        if isinstance(node, Con):
+            lifted = [go(a, False) for a in node.args]
+            if any(h for _, h in lifted):
+                return PCon(node.name, node.type, tuple(p for p, _ in lifted)), True
+            return PLit(node), False
+        if isinstance(node, ListTerm):
+            lifted = [go(e, True) for e in node.elems]
+            if any(h for _, h in lifted):
+                return PList(tuple(p for p, _ in lifted), node.elem_type), True
+            return PLit(node), False
+        return PLit(node), False
+
+    pattern, _ = go(t, False)
+    for entry in table:
+        n = counts[entry.index]
+        if n == 0:
+            raise HoleNotFound(entry.index)
+        if n > 1 and not lenient:
+            raise HoleCaptured(entry.index, n)
+    return pattern
+
+
 def _compositions(total: int, k: int):
     """All k-tuples of nonnegative ints summing to total, lexicographically."""
     if k == 0:
@@ -298,6 +367,20 @@ def all_subtrees(t) -> list:
     return out
 
 
+def replace_at(t, path: tuple, new):
+    """t with the subterm at path (child indices) replaced by new."""
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    if isinstance(t, Con):
+        args = list(t.args)
+        args[i] = replace_at(args[i], rest, new)
+        return Con(t.name, t.type, tuple(args))
+    elems = list(t.elems)
+    elems[i] = replace_at(elems[i], rest, new)
+    return ListTerm(tuple(elems), t.elem_type)
+
+
 def brute_rewrite(t, rules):
     """Reference one-pass rewriter, recursion written out by hand."""
 
@@ -351,8 +434,6 @@ def enumerate_list_patterns(max_len: int = 5, max_seq: int = 3, max_lit: int = 2
     Sequence-variable names are canonicalized to first-use order a, b, c so
     pure renamings are not enumerated twice.
     """
-    from csbb.terms import adt
-
     elem_kinds = ["s0", "s1", "s2", "litx", "lity"]
     patterns = []
     seen = set()
@@ -387,8 +468,6 @@ def enumerate_list_patterns(max_len: int = 5, max_seq: int = 3, max_lit: int = 2
 
 
 def enumerate_atom_lists(max_len: int = 5):
-    from csbb.terms import adt
-
     lists = []
     for length in range(max_len + 1):
         for combo in itertools.product((ATOM_X, ATOM_Y), repeat=length):

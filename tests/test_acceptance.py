@@ -22,6 +22,7 @@ from support import (
     fobj,
     gen_json_object,
     gen_json_term,
+    term_equals,
     tokens,
 )
 from csbb.concrete import HoleCaptured, lift, lower, parse_term, split_fragment, to_pattern
@@ -40,7 +41,7 @@ from csbb.patterns import (
     pattern_vars,
     visit_collect,
 )
-from csbb.terms import Con, ListTerm, Prim, adt, term_equals, term_root_type
+from csbb.terms import Con, ListTerm, Prim, adt, term_root_type
 from csbb.tympanic import (
     NoApplicableRule,
     infer_signature,

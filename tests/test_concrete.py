@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from support import gen_json_term
+from support import all_subtrees, gen_json_term, lift_oracle, replace_at, term_equals
 from csbb import concrete
 from csbb.concrete import (
     ChildReportedSyntaxError,
@@ -17,6 +18,7 @@ from csbb.concrete import (
     EncoderImageUnparseable,
     Hole,
     HoleCaptured,
+    HoleEntry,
     HoleNameConflict,
     HoleNotFound,
     HolesNotAllowed,
@@ -40,6 +42,7 @@ from csbb.concrete import (
 from csbb.jsonlang import (
     array,
     ident,
+    json_hole,
     null_,
     number,
     parse_json,
@@ -54,10 +57,9 @@ from csbb.patterns import (
     PVar,
     PWild,
     match,
-    pattern_equals,
     pattern_vars,
 )
-from csbb.terms import adt, term_equals
+from csbb.terms import adt
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +156,12 @@ def test_lower_fails_fast_on_broken_encoder():
 def test_lower_rejects_colliding_images():
     reg = ParserRegistry()
     reg.register("JSON", parse_json, hole=lambda i: "{_hole:0}")  # ignores the index
-    with pytest.raises(DuplicateHoleImage):
+    with pytest.raises(DuplicateHoleImage, match="holes 0 and 1 "):
         lower(split_fragment("JSON", "[<JSON a>, <JSON b>]"), reg)
+    # Images A B B A: the earliest hole with a twin is reported, with that twin.
+    reg.register("JSON", parse_json, hole=lambda i: json_hole(min(i, 3 - i)))
+    with pytest.raises(DuplicateHoleImage, match="holes 0 and 3 "):
+        lower(split_fragment("JSON", "[<JSON a>, <JSON b>, <JSON c>, <JSON d>]"), reg)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +209,43 @@ def test_lift_star_hole_must_be_list_element(json_registry):
         lift(parse_json("{_hole:0}"), table)
 
 
+def _random_lift_case(rng):
+    """A hole table and a term with some of its images planted, some twice, some not at all."""
+    table = [
+        HoleEntry(i, rng.choice(["_", f"v{i}"]), "JSON", rng.random() < 0.3, json_hole(i),
+                  parse_json(json_hole(i)))
+        for i in range(rng.randint(0, 4))
+    ]
+    if table and rng.random() < 0.2:  # two entries with one image: the first one wins
+        twin = rng.choice(table)
+        table.append(HoleEntry(len(table), "w", "JSON", False, twin.encoded, twin.image))
+    t = gen_json_term(rng, 3)
+    for entry in table:
+        for _ in range(rng.choice([0, 1, 1, 1, 2])):
+            paths = [path for path, node in all_subtrees(t) if getattr(node, "type", None) == "JSON"]
+            t = replace_at(t, rng.choice(paths), entry.image)
+    return t, table
+
+
+def _lift_outcome(lift_fn, t, table, lenient):
+    try:
+        return "ok", repr(lift_fn(t, table, lenient=lenient))
+    except (HoleNotFound, HoleCaptured, StarHoleNotInList) as e:
+        return type(e).__name__, str(e)
+
+
+def test_lift_agrees_with_the_oracle():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(600):
+        t, table = _random_lift_case(rng)
+        for lenient in (False, True):
+            expected = _lift_outcome(lift_oracle, t, table, lenient)
+            assert _lift_outcome(lift, t, table, lenient) == expected
+            outcomes.add(expected[0])
+    assert {"ok", "HoleNotFound", "HoleCaptured", "StarHoleNotInList"} <= outcomes
+
+
 # ---------------------------------------------------------------------------
 # to_pattern
 
@@ -227,7 +270,7 @@ def test_to_pattern_name_property_equivalent_to_hand_built(json_registry):
             ),
         ),
     )
-    assert pattern_equals(p, expected)
+    assert p == expected
 
 
 def test_to_pattern_for_prop_nonterminal(json_registry):
@@ -306,7 +349,7 @@ def test_roundtrip_print_to_pattern(json_registry):
         t = gen_json_term(rng, 3)
         text = print_json(t).replace("<", "\\<")  # escape any '<' inside strings
         p = to_pattern("JSON", text, json_registry)
-        assert pattern_equals(p, PLit(t))
+        assert p == PLit(t)
         envs = list(match(p, t))
         assert envs == [{}]
 
@@ -371,6 +414,30 @@ def test_subprocess_child_dies_before_reply():
     with pytest.raises(ProtocolError):
         adapter.parse("Stm", "x;")
     adapter.close()
+
+
+def test_subprocess_dead_child_is_replaced(tmp_path):
+    # Each child logs its pid, reads one request, closes stdout and lingers.
+    spawns = tmp_path / "spawns"
+    child = tmp_path / "mute_parser.py"
+    child.write_text(
+        "import os, sys, time\n"
+        f"open({str(spawns)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+        "sys.stdin.readline()\n"
+        "os.close(1)\n"
+        "time.sleep(1.5)\n"
+    )
+    adapter = SubprocessParser([sys.executable, str(child)])
+    try:
+        for expected_spawns in (1, 2):
+            with pytest.raises(ProtocolError):
+                adapter.parse("Stm", "x;")
+            pids = [int(pid) for pid in spawns.read_text().split()]
+            assert len(pids) == expected_spawns
+            with pytest.raises(ProcessLookupError):  # killed and reaped before the error
+                os.kill(pids[-1], 0)
+    finally:
+        adapter.close()
 
 
 def test_subprocess_garbage_response():

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from support import term_equals
+from csbb.concrete import ChildReportedSyntaxError, load_registry_config, parse_term
 from csbb.exprlang import (
     SIGNATURE,
     ExprLangSyntaxError,
@@ -22,7 +24,6 @@ from csbb.terms import (
     check_term,
     parse_signature,
     render_signature,
-    term_equals,
     term_from_wire,
 )
 
@@ -169,6 +170,13 @@ def test_protocol_over_real_pipes():
     assert replies[1]["ok"] is False and replies[1]["line"] >= 1
     assert replies[2]["ok"] is True
     assert term_equals(term_from_wire(replies[2]["term"]), add(varref("a"), varref("b")))
+
+
+def test_child_survives_over_deep_input(exprlang_config):
+    with load_registry_config(exprlang_config) as reg:
+        with pytest.raises(ChildReportedSyntaxError, match="nests too deeply"):
+            parse_term("Expr", " + ".join(f"x{i}" for i in range(600)), reg)
+        assert term_equals(parse_term("Expr", "1 + 2", reg), add(intlit(1), intlit(2)))
 
 
 def test_signature_flag_prints_parseable_signature():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from support import gen_json_term
+from support import gen_json_term, term_equals
 from csbb.jsonlang import (
     JSON_SIGNATURE,
     JsonSyntaxError,
@@ -21,7 +21,7 @@ from csbb.jsonlang import (
     prop_hole,
     string,
 )
-from csbb.terms import Con, Prim, adt, check_term, term_equals
+from csbb.terms import Con, Prim, adt, check_term
 
 RODIN = obj([prop("name", string("Rodin")), prop("age", number(29.0))])
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from support import (
     enumerate_list_patterns,
     envs_multiset,
     gen_json_term,
+    term_equals,
 )
 from csbb.jsonlang import (
     JSON_SIGNATURE,
@@ -41,12 +43,11 @@ from csbb.patterns import (
     instantiate,
     match,
     match_first,
-    pattern_equals,
     types_compatible,
     visit_collect,
     visit_rewrite,
 )
-from csbb.terms import Con, ListTerm, Prim, adt, prim, term_equals, term_root_type
+from csbb.terms import Con, ListTerm, Prim, adt, prim, term_root_type
 
 RODIN = obj([prop("name", string("Rodin")), prop("age", number(29.0))])
 
@@ -346,6 +347,9 @@ def test_check_pattern_flags_misdeclared_hole():
 
 
 def test_pattern_equals_distinguishes_wildcards_from_vars():
-    assert pattern_equals(PWild(adt("JSON")), PWild(adt("JSON")))
-    assert not pattern_equals(PWild(adt("JSON")), PVar("x", adt("JSON")))
-    assert pattern_equals(NAME_PROP_PATTERN, NAME_PROP_PATTERN)
+    assert PWild(adt("JSON")) == PWild(adt("JSON"))
+    assert PWild(adt("JSON")) != PVar("x", adt("JSON"))
+    rebuilt = copy.deepcopy(NAME_PROP_PATTERN)
+    assert rebuilt is not NAME_PROP_PATTERN and rebuilt == NAME_PROP_PATTERN
+    assert hash(rebuilt) == hash(NAME_PROP_PATTERN)
+    assert PLit(number(0.0)) != PLit(number(-0.0))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from support import brute_well_typed, gen_json_term
+from support import all_subtrees, brute_well_typed, gen_json_term, replace_at, term_equals
 from csbb.jsonlang import (
     JSON_SIGNATURE,
     boolean,
@@ -34,7 +34,6 @@ from csbb.terms import (
     parse_signature,
     prim,
     render_signature,
-    term_equals,
 )
 
 RODIN = obj([prop("name", string("Rodin")), prop("age", number(29.0))])
@@ -140,11 +139,12 @@ def _corrupt(rng, t):
 
 
 # ---------------------------------------------------------------------------
-# term_equals
+# Structural equality: == and hash
 
 
 def test_equal_numbers():
-    assert term_equals(number(29.0), number(29.0))
+    assert number(29.0) == number(29.0)
+    assert hash(number(29.0)) == hash(number(29.0))
 
 
 def test_distinct_constructors_differ():
@@ -156,26 +156,67 @@ def test_two_parses_of_same_text_are_equal():
 
 
 def test_reals_compare_by_bit_pattern():
-    assert not term_equals(number(0.0), number(-0.0))
-    assert term_equals(number(0.1 + 0.2), number(0.1 + 0.2))
+    assert number(0.0) != number(-0.0)
+    assert len({number(0.0), number(-0.0)}) == 2
+    assert number(0.1 + 0.2) == number(0.1 + 0.2)
+    assert Prim("real", 1.0) != Prim("int", 1)
+    assert Prim("int", 1) != Prim("bool", True)
 
 
 def test_equality_is_an_equivalence_relation():
     rng = random.Random(13)
     terms = [gen_json_term(rng, 3) for _ in range(60)]
     for t in terms:
-        assert term_equals(t, t)
+        assert t == t and not t != t
     for a in terms[:25]:
         for b in terms[:25]:
-            assert term_equals(a, b) == term_equals(b, a)
+            assert (a == b) == (b == a)
+            assert a != b or hash(a) == hash(b)
     # transitivity over the duplicates the sample happens to contain
     for a in terms:
         for b in terms:
-            if not term_equals(a, b):
+            if a != b:
                 continue
             for c in terms[:20]:
-                if term_equals(b, c):
-                    assert term_equals(a, c)
+                if b == c:
+                    assert a == c
+
+
+def _mutated_pair(rng, t):
+    """t, or a single-leaf variant, paired with a copy that differs in at most that leaf."""
+    nodes = all_subtrees(t)
+    reals = [path for path, n in nodes if isinstance(n, Prim) and n.kind == "real"]
+    lists = [(path, n) for path, n in nodes if isinstance(n, ListTerm) and len(n.elems) > 1]
+    how = rng.choice(["copy", "zero", "kind", "swap"])
+    if how == "zero" and reals:
+        path = rng.choice(reals)
+        return replace_at(t, path, Prim("real", 0.0)), replace_at(t, path, Prim("real", -0.0))
+    if how == "kind" and reals:
+        path = rng.choice(reals)
+        v = rng.randint(-3, 3)
+        return replace_at(t, path, Prim("real", float(v))), replace_at(t, path, Prim("int", v))
+    if how == "swap" and lists:
+        path, node = rng.choice(lists)
+        i, j = rng.sample(range(len(node.elems)), 2)
+        elems = list(node.elems)
+        elems[i], elems[j] = elems[j], elems[i]
+        return t, replace_at(t, path, ListTerm(elems, node.elem_type))
+    return t, decode_term(encode_term(t))
+
+
+def test_equality_and_hash_agree_with_the_oracle():
+    rng = random.Random(2024)
+    pairs = [_mutated_pair(rng, gen_json_term(rng, 3)) for _ in range(400)]
+    small = [gen_json_term(rng, 1) for _ in range(60)]
+    pairs += [(a, b) for a in small for b in small]
+    seen = {True: 0, False: 0}
+    for a, b in pairs:
+        expected = term_equals(a, b)
+        seen[expected] += 1
+        assert (a == b) == expected and (b == a) == expected and (a != b) != expected
+        if expected:
+            assert hash(a) == hash(b)
+    assert min(seen.values()) > 100
 
 
 # ---------------------------------------------------------------------------

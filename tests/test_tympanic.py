@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from support import EXPR_MAPPING, EXPR_MODULE, EXPR_SCHEMA, INLINE_ENUM_MAPPING, fobj, tokens
-from csbb.terms import Con, Prim, adt, check_term, just_, list_of, maybe_of, nothing_, prim, term_equals
+from support import EXPR_MAPPING, EXPR_MODULE, EXPR_SCHEMA, INLINE_ENUM_MAPPING, fobj, term_equals, tokens
+from csbb.terms import Con, Prim, adt, check_term, just_, list_of, maybe_of, nothing_, prim
 from csbb.tympanic import (
     ArityMismatch,
     ClassMapping,

@@ -178,22 +178,18 @@ def split_fragment(nonterminal: str, text: str) -> ConcretePattern:
     names: dict = {}
     index = 0
     i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text) and text[i + 1] == "<":
-            buf.append("<")
-            i += 2
+    while (start := text.find("<", i)) >= 0:
+        if start > i and text[start - 1] == "\\":  # `\<` is a literal `<`
+            buf.append(text[i:start - 1] + "<")
+            i = start + 1
             continue
-        if ch != "<":
-            buf.append(ch)
-            i += 1
-            continue
-        end = text.find(">", i + 1)
+        buf.append(text[i:start])
+        end = text.find(">", start + 1)
         if end < 0:
-            raise UnterminatedHole(f"hole opened at offset {i} has no closing '>'")
-        body = text[i + 1:end]
+            raise UnterminatedHole(f"hole opened at offset {start} has no closing '>'")
+        body = text[start + 1:end]
         if not body.strip():
-            raise EmptyHoleType(f"hole at offset {i} has no type")
+            raise EmptyHoleType(f"hole at offset {start} has no type")
         m = _HOLE_BODY.match(body)
         if m is None:
             if re.fullmatch(r"\s*\**\s*[A-Za-z_][A-Za-z0-9_]*\s*\**\s*", body):
@@ -204,14 +200,14 @@ def split_fragment(nonterminal: str, text: str) -> ConcretePattern:
             prior = names.setdefault(name, (hole_type, star))
             if prior != (hole_type, star):
                 raise HoleNameConflict(f"hole name {name!r} reused with a different type")
-        if buf:
-            parts.append(TextChunk("".join(buf)))
-            buf = []
+        if chunk := "".join(buf):
+            parts.append(TextChunk(chunk))
+        buf = []
         parts.append(Hole(index, name, hole_type, star))
         index += 1
         i = end + 1
-    if buf:
-        parts.append(TextChunk("".join(buf)))
+    if chunk := "".join(buf) + text[i:]:
+        parts.append(TextChunk(chunk))
     return ConcretePattern(nonterminal, tuple(parts))
 
 
@@ -334,6 +330,8 @@ def lift(t: Term, table: list, *, lenient: bool = False) -> Pattern:
     occurrence becomes the same variable and matching degrades to a non-linear
     match on the colliding positions.
     """
+    if not table:
+        return PLit(t)
     counts = {entry.index: 0 for entry in table}
     by_image = {entry.image: entry for entry in reversed(table)}  # the first entry wins
 
@@ -445,6 +443,14 @@ class SubprocessParser:
                 raise ProtocolError(
                     f"parser process {self.command} closed its stream (exit code {code}) before replying"
                 )
+            try:
+                return self._reply(line)
+            except ProtocolError:  # the stream may be out of step: never read from it again
+                self._discard(proc)
+                raise
+
+    def _reply(self, line: str) -> Term:
+        """The term in one reply line, or the child's syntax error raised."""
         try:
             response = json.loads(line)
         except json.JSONDecodeError as e:
@@ -468,29 +474,27 @@ class SubprocessParser:
 
     def _discard(self, proc) -> int:
         """Kill and reap a child that broke the protocol; the next request starts a fresh one."""
-        self._proc = None
         proc.kill()  # a no-op if the child has already exited
-        code = proc.wait()
-        proc.stdout.close()
+        return self._release(proc)
+
+    def _release(self, proc) -> int:
+        """Close both pipes and reap the child, killing it if it outlives its stdin by 5 s."""
+        self._proc = None
         try:
             proc.stdin.close()
-        except OSError:  # flushing what the dead child never read
+        except OSError:  # flushing what a dead child never read
             pass
+        try:
+            code = proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            code = proc.wait()
+        proc.stdout.close()
         return code
 
     def close(self) -> None:
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        if self._proc is not None:
+            self._release(self._proc)
 
     def __enter__(self) -> "SubprocessParser":
         return self

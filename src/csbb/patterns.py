@@ -61,6 +61,8 @@ class PCon:
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
+        if any(isinstance(a, (PSeqVar, PSeqWild)) for a in self.args):
+            raise PatternStructureError("sequence pattern used outside a list")
 
 
 @dataclass(frozen=True)
@@ -190,14 +192,15 @@ def match_first(p: Pattern, t: Term) -> Env | None:
 
 
 def _match(p: Pattern, t: Term, env: Env) -> Iterator[Env]:
-    if isinstance(p, PWild):
-        yield env
-    elif isinstance(p, PVar):
+    if isinstance(p, PVar):
         if p.name in env:
             if env[p.name] == t:  # a sequence binding, a tuple, never equals a term
                 yield env
         elif types_compatible(p.type, term_root_type(t)):
             yield {**env, p.name: t}
+    elif isinstance(p, PWild):
+        if types_compatible(p.type, term_root_type(t)):
+            yield env
     elif isinstance(p, PLit):
         if p.term == t:
             yield env
@@ -208,43 +211,33 @@ def _match(p: Pattern, t: Term, env: Env) -> Iterator[Env]:
             and t.type == p.type
             and len(t.args) == len(p.args)
         ):
-            yield from _match_all(p.args, t.args, 0, env)
+            yield from _match_seq(p.args, 0, t.args, 0, env)
     elif isinstance(p, PList):
         if isinstance(t, ListTerm) and t.elem_type == p.elem_type:
-            yield from _match_seq(p.elems, t.elems, env)
+            yield from _match_seq(p.elems, 0, t.elems, 0, env)
     else:
         raise PatternStructureError("sequence pattern used outside a list")
 
 
-def _match_all(ps: tuple, ts: tuple, i: int, env: Env) -> Iterator[Env]:
+def _match_seq(ps: tuple, i: int, ts: tuple, j: int, env: Env) -> Iterator[Env]:
+    """Match ps[i:] against ts[j:]; constructor arguments and list elements alike."""
     if i == len(ps):
-        yield env
-        return
-    for env2 in _match(ps[i], ts[i], env):
-        yield from _match_all(ps, ts, i + 1, env2)
-
-
-def _match_seq(ps: tuple, ts: tuple, env: Env) -> Iterator[Env]:
-    if not ps:
-        if not ts:
+        if j == len(ts):
             yield env
         return
-    head, rest = ps[0], ps[1:]
-    if isinstance(head, PSeqWild):
-        for k in range(len(ts) + 1):
-            yield from _match_seq(rest, ts[k:], env)
-    elif isinstance(head, PSeqVar):
-        if head.name in env:
-            bound = env[head.name]
-            if isinstance(bound, tuple) and bound == ts[:len(bound)]:
-                yield from _match_seq(rest, ts[len(bound):], env)
-        else:
-            for k in range(len(ts) + 1):
-                yield from _match_seq(rest, ts[k:], {**env, head.name: tuple(ts[:k])})
-    else:
-        if ts:
-            for env2 in _match(head, ts[0], env):
-                yield from _match_seq(rest, ts[1:], env2)
+    head = ps[i]
+    if isinstance(head, PSeqVar) and head.name in env:
+        bound = env[head.name]
+        if isinstance(bound, tuple) and bound == ts[j:j + len(bound)]:
+            yield from _match_seq(ps, i + 1, ts, j + len(bound), env)
+    elif isinstance(head, (PSeqVar, PSeqWild)):
+        # Shortest binding first; a trailing hole can only take the rest.
+        for k in range(len(ts) if i + 1 == len(ps) else j, len(ts) + 1):
+            env2 = {**env, head.name: ts[j:k]} if isinstance(head, PSeqVar) else env
+            yield from _match_seq(ps, i + 1, ts, k, env2)
+    elif j < len(ts):
+        for env2 in _match(head, ts[j], env):
+            yield from _match_seq(ps, i + 1, ts, j + 1, env2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +298,14 @@ def _children(t: Term) -> tuple:
 
 def visit_collect(t: Term, p: Pattern) -> list:
     """Bottom-up, left-to-right: (path, first env) for every matching subtree."""
-    ptype = pattern_root_type(p)
     hits: list = []
 
     def walk(node: Term, path: tuple) -> None:
         for i, child in enumerate(_children(node)):
             walk(child, path + (i,))
-        if types_compatible(ptype, term_root_type(node)):
-            env = match_first(p, node)
-            if env is not None:
-                hits.append((path, env))
+        env = next(_match(p, node, {}), None)
+        if env is not None:
+            hits.append((path, env))
 
     walk(t, ())
     return hits
@@ -338,18 +329,20 @@ def visit_rewrite(t: Term, rules: list) -> Term:
                 raise IllTypedRule(f"rule right side uses {name!r} not bound by the left side")
         if not types_compatible(lhs_type, rhs_type):
             raise IllTypedRule(f"rule sides have different types: {lhs_type} vs {rhs_type}")
-        checked.append((lhs, rhs, lhs_type))
+        checked.append((lhs, rhs))
 
     def rewrite(node: Term) -> Term:
+        kids = []
+        for kid in _children(node):  # a loop, not a generator expression: half the stack
+            kids.append(rewrite(kid))
         if isinstance(node, Con):
-            node = Con(node.name, node.type, tuple(rewrite(c) for c in node.args))
+            node = Con(node.name, node.type, tuple(kids))
         elif isinstance(node, ListTerm):
-            node = ListTerm(tuple(rewrite(e) for e in node.elems), node.elem_type)
-        for lhs, rhs, lhs_type in checked:
-            if types_compatible(lhs_type, term_root_type(node)):
-                env = match_first(lhs, node)
-                if env is not None:
-                    return instantiate(rhs, env)
+            node = ListTerm(tuple(kids), node.elem_type)
+        for lhs, rhs in checked:
+            env = next(_match(lhs, node, {}), None)
+            if env is not None:
+                return instantiate(rhs, env)
         return node
 
     return rewrite(t)

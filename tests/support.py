@@ -6,9 +6,23 @@ import itertools
 import re
 import struct
 
-from csbb.concrete import HoleCaptured, HoleNotFound, StarHoleNotInList
+from csbb.concrete import (
+    ConcretePattern,
+    EmptyHoleType,
+    Hole,
+    HoleCaptured,
+    HoleNameConflict,
+    HoleNotFound,
+    MalformedHole,
+    StarHoleNotInList,
+    TextChunk,
+    UnterminatedHole,
+)
 from csbb.jsonlang import array, boolean, null_, number, obj, prop, string
 from csbb.patterns import (
+    IllTypedRule,
+    MatchTypeError,
+    PatternStructureError,
     PCon,
     PList,
     PLit,
@@ -18,7 +32,9 @@ from csbb.patterns import (
     PWild,
     instantiate,
     match_first,
+    pattern_has_wildcards,
     pattern_root_type,
+    pattern_vars,
     types_compatible,
 )
 from csbb.terms import (
@@ -284,6 +300,186 @@ def lift_oracle(t, table: list, *, lenient: bool = False):
         if n > 1 and not lenient:
             raise HoleCaptured(entry.index, n)
     return pattern
+
+
+# The matcher and traversals as they were before constructor arguments and
+# list elements shared one index-walking matcher: wildcards match any term,
+# and sequences are matched by slicing.
+
+
+def match_oracle(p, t):
+    """Reference match: the root type test, then the slicing matcher."""
+    ptype = pattern_root_type(p)
+    if not types_compatible(ptype, term_root_type(t)):
+        raise MatchTypeError(f"pattern of type {ptype} cannot match term of type {term_root_type(t)}")
+    return _match_oracle(p, t, {})
+
+
+def _match_oracle(p, t, env):
+    if isinstance(p, PWild):
+        yield env
+    elif isinstance(p, PVar):
+        if p.name in env:
+            if env[p.name] == t:  # a sequence binding, a tuple, never equals a term
+                yield env
+        elif types_compatible(p.type, term_root_type(t)):
+            yield {**env, p.name: t}
+    elif isinstance(p, PLit):
+        if p.term == t:
+            yield env
+    elif isinstance(p, PCon):
+        if (
+            isinstance(t, Con)
+            and t.name == p.name
+            and t.type == p.type
+            and len(t.args) == len(p.args)
+        ):
+            yield from _match_all_oracle(p.args, t.args, 0, env)
+    elif isinstance(p, PList):
+        if isinstance(t, ListTerm) and t.elem_type == p.elem_type:
+            yield from _match_seq_oracle(p.elems, t.elems, env)
+    else:
+        raise PatternStructureError("sequence pattern used outside a list")
+
+
+def _match_all_oracle(ps, ts, i, env):
+    if i == len(ps):
+        yield env
+        return
+    for env2 in _match_oracle(ps[i], ts[i], env):
+        yield from _match_all_oracle(ps, ts, i + 1, env2)
+
+
+def _match_seq_oracle(ps, ts, env):
+    if not ps:
+        if not ts:
+            yield env
+        return
+    head, rest = ps[0], ps[1:]
+    if isinstance(head, PSeqWild):
+        for k in range(len(ts) + 1):
+            yield from _match_seq_oracle(rest, ts[k:], env)
+    elif isinstance(head, PSeqVar):
+        if head.name in env:
+            bound = env[head.name]
+            if isinstance(bound, tuple) and bound == ts[:len(bound)]:
+                yield from _match_seq_oracle(rest, ts[len(bound):], env)
+        else:
+            for k in range(len(ts) + 1):
+                yield from _match_seq_oracle(rest, ts[k:], {**env, head.name: tuple(ts[:k])})
+    else:
+        if ts:
+            for env2 in _match_oracle(head, ts[0], env):
+                yield from _match_seq_oracle(rest, ts[1:], env2)
+
+
+def _children(t) -> tuple:
+    if isinstance(t, Con):
+        return t.args
+    if isinstance(t, ListTerm):
+        return t.elems
+    return ()
+
+
+def visit_collect_oracle(t, p) -> list:
+    """Reference visit_collect: a root type gate, then the first env, at every node."""
+    ptype = pattern_root_type(p)
+    hits: list = []
+
+    def walk(node, path):
+        for i, child in enumerate(_children(node)):
+            walk(child, path + (i,))
+        if types_compatible(ptype, term_root_type(node)):
+            env = next(match_oracle(p, node), None)
+            if env is not None:
+                hits.append((path, env))
+
+    walk(t, ())
+    return hits
+
+
+def visit_rewrite_oracle(t, rules: list):
+    """Reference visit_rewrite: rule checks, then one gated bottom-up pass."""
+    checked: list = []
+    for lhs, rhs in rules:
+        try:
+            lhs_vars = pattern_vars(lhs)
+            rhs_vars = pattern_vars(rhs)
+            lhs_type = pattern_root_type(lhs)
+            rhs_type = pattern_root_type(rhs)
+        except PatternStructureError as e:
+            raise IllTypedRule(str(e)) from None
+        if pattern_has_wildcards(rhs):
+            raise IllTypedRule("rule right side contains a wildcard")
+        for name, spec in rhs_vars.items():
+            if lhs_vars.get(name) != spec:
+                raise IllTypedRule(f"rule right side uses {name!r} not bound by the left side")
+        if not types_compatible(lhs_type, rhs_type):
+            raise IllTypedRule(f"rule sides have different types: {lhs_type} vs {rhs_type}")
+        checked.append((lhs, rhs, lhs_type))
+
+    def rewrite(node):
+        if isinstance(node, Con):
+            node = Con(node.name, node.type, tuple(rewrite(c) for c in node.args))
+        elif isinstance(node, ListTerm):
+            node = ListTerm(tuple(rewrite(e) for e in node.elems), node.elem_type)
+        for lhs, rhs, lhs_type in checked:
+            if types_compatible(lhs_type, term_root_type(node)):
+                env = next(match_oracle(lhs, node), None)
+                if env is not None:
+                    return instantiate(rhs, env)
+        return node
+
+    return rewrite(t)
+
+
+_HOLE_BODY = re.compile(
+    r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:(\*)\s*|\s+)([A-Za-z_][A-Za-z0-9_]*)\s*$"
+)
+
+
+def split_fragment_oracle(nonterminal: str, text: str):
+    """Reference split_fragment: copies the text one character at a time."""
+    parts: list = []
+    buf: list = []
+    names: dict = {}
+    index = 0
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text) and text[i + 1] == "<":
+            buf.append("<")
+            i += 2
+            continue
+        if ch != "<":
+            buf.append(ch)
+            i += 1
+            continue
+        end = text.find(">", i + 1)
+        if end < 0:
+            raise UnterminatedHole(f"hole opened at offset {i} has no closing '>'")
+        body = text[i + 1:end]
+        if not body.strip():
+            raise EmptyHoleType(f"hole at offset {i} has no type")
+        m = _HOLE_BODY.match(body)
+        if m is None:
+            if re.fullmatch(r"\s*\**\s*[A-Za-z_][A-Za-z0-9_]*\s*\**\s*", body):
+                raise MalformedHole(f"hole <{body}> must be written <Type name> or <Type* name>")
+            raise MalformedHole(f"hole <{body}> is not of the form <Type name>")
+        hole_type, star, name = m.group(1), m.group(2) is not None, m.group(3)
+        if name != "_":
+            prior = names.setdefault(name, (hole_type, star))
+            if prior != (hole_type, star):
+                raise HoleNameConflict(f"hole name {name!r} reused with a different type")
+        if buf:
+            parts.append(TextChunk("".join(buf)))
+            buf = []
+        parts.append(Hole(index, name, hole_type, star))
+        index += 1
+        i = end + 1
+    if buf:
+        parts.append(TextChunk("".join(buf)))
+    return ConcretePattern(nonterminal, tuple(parts))
 
 
 def _compositions(total: int, k: int):

@@ -8,7 +8,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from support import all_subtrees, gen_json_term, lift_oracle, replace_at, term_equals
+from support import (
+    all_subtrees,
+    gen_json_term,
+    lift_oracle,
+    replace_at,
+    split_fragment_oracle,
+    term_equals,
+)
 from csbb import concrete
 from csbb.concrete import (
     ChildReportedSyntaxError,
@@ -59,7 +66,7 @@ from csbb.patterns import (
     match,
     pattern_vars,
 )
-from csbb.terms import adt
+from csbb.terms import Prim, adt
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +120,34 @@ def test_split_errors():
 def test_same_name_same_type_is_allowed():
     cp = split_fragment("JSON", "[<JSON x>, <JSON x>]")
     assert len(cp.holes()) == 2
+
+
+_FRAGMENT_PIECES = [
+    "<", ">", "\\", "\\<", "\\\\<", "*", " ", "_", "x", "JSON", "{a: 1}", "[",
+    "<JSON x>", "<Prop* _>", "<JSON* xs>", "< JSON  y >", "<Prop x>", "<JSON _>",
+    "<>", "<x>", "<*x>", "<JSON x y>", "<Prop\\<x>",
+]
+
+
+def _outcome(split, text):
+    try:
+        return split("JSON", text)
+    except Exception as e:  # the class and message must agree too
+        return type(e), str(e)
+
+
+def test_split_agrees_with_the_oracle():
+    rng = random.Random(61)
+    results = []
+    for _ in range(3000):
+        text = "".join(rng.choice(_FRAGMENT_PIECES) for _ in range(rng.randint(0, 10)))
+        result = _outcome(split_fragment, text)
+        assert result == _outcome(split_fragment_oracle, text), text
+        results.append(result)
+    holes = [len(r.holes()) for r in results if not isinstance(r, tuple)]
+    errors = {r[0] for r in results if isinstance(r, tuple)}
+    assert len(holes) > 300 and max(holes) >= 3
+    assert errors == {UnterminatedHole, EmptyHoleType, MalformedHole, HoleNameConflict}
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +473,53 @@ def test_subprocess_dead_child_is_replaced(tmp_path):
                 os.kill(pids[-1], 0)
     finally:
         adapter.close()
+
+
+@pytest.mark.parametrize("garbage", [
+    "not json",
+    '{"term": {"str": "x"}}',
+    '{"ok": true}',
+    '{"ok": true, "term": 5}',
+    '{"ok": false, "line": "one"}',
+])
+def test_subprocess_never_reads_a_stale_reply(tmp_path, garbage):
+    # The first child answers every request with a garbage line and then a
+    # good reply; later children answer once. "bad" gets a syntax error.
+    spawns = tmp_path / "spawns"
+    child = tmp_path / "stuttering_parser.py"
+    child.write_text(
+        "import json, os, sys\n"
+        f"open({str(spawns)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+        f"first = len(open({str(spawns)!r}).read().split()) == 1\n"
+        "for line in sys.stdin:\n"
+        "    text = json.loads(line)['text']\n"
+        "    if first:\n"
+        f"        print({garbage!r})\n"
+        "    if text == 'bad':\n"
+        "        print(json.dumps({'ok': False, 'line': 1, 'col': 2, 'message': 'bad'}), flush=True)\n"
+        "    else:\n"
+        "        print(json.dumps({'ok': True, 'term': {'str': text}}), flush=True)\n"
+    )
+    adapter = SubprocessParser([sys.executable, str(child)])
+    try:
+        with pytest.raises(ProtocolError):
+            adapter.parse("Stm", "first")
+        assert adapter.parse("Stm", "second") == Prim("str", "second")
+        with pytest.raises(ChildReportedSyntaxError):  # a well-formed error keeps the child
+            adapter.parse("Stm", "bad")
+        assert adapter.parse("Stm", "third") == Prim("str", "third")
+        assert len(spawns.read_text().split()) == 2
+    finally:
+        adapter.close()
+
+
+def test_subprocess_close_releases_both_pipes():
+    adapter = SubprocessParser([sys.executable, "-m", "csbb.exprlang"])
+    adapter.parse("Expr", "1 + 2")
+    proc = adapter._proc
+    adapter.close()
+    assert proc.stdin.closed and proc.stdout.closed
+    assert proc.returncode == 0
 
 
 def test_subprocess_garbage_response():

@@ -165,6 +165,7 @@ def test_protocol_over_real_pipes():
     finally:
         proc.stdin.close()
         proc.wait(timeout=10)
+        proc.stdout.close()
     assert replies[0]["ok"] is True
     assert term_from_wire(replies[0]["term"]).name == "whileStm"
     assert replies[1]["ok"] is False and replies[1]["line"] >= 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,11 @@ from support import (
     enumerate_list_patterns,
     envs_multiset,
     gen_json_term,
+    match_oracle,
+    replace_at,
     term_equals,
+    visit_collect_oracle,
+    visit_rewrite_oracle,
 )
 from csbb.jsonlang import (
     JSON_SIGNATURE,
@@ -47,7 +52,17 @@ from csbb.patterns import (
     visit_collect,
     visit_rewrite,
 )
-from csbb.terms import Con, ListTerm, Prim, adt, prim, term_root_type
+from csbb.terms import (
+    Con,
+    ListTerm,
+    Prim,
+    adt,
+    encode_term,
+    list_of,
+    maybe_of,
+    prim,
+    term_root_type,
+)
 
 RODIN = obj([prop("name", string("Rodin")), prop("age", number(29.0))])
 
@@ -249,6 +264,158 @@ def test_sequence_variable_outside_list_is_structural_error():
         match(PSeqVar("xs", adt("JSON")), number(1.0))
 
 
+@pytest.mark.parametrize("hole", [PSeqVar("xs", adt("JSON")), PSeqWild(adt("JSON"))])
+def test_constructor_rejects_sequence_holes(hole):
+    with pytest.raises(PatternStructureError, match="sequence pattern used outside a list"):
+        PCon("prop", "Prop", (PLit(ident("k")), hole))
+
+
+# ---------------------------------------------------------------------------
+# match, visit_collect and visit_rewrite against the slicing oracles
+
+HOLE_TYPES = [
+    adt("JSON"),
+    adt("Prop"),
+    adt("Id"),
+    adt("Maybe"),
+    prim("real"),
+    prim("str"),
+    prim("bool"),
+    list_of(adt("JSON")),
+    list_of(adt("Prop")),
+    maybe_of(adt("JSON")),
+]
+
+
+def _holey_pattern(rng, t):
+    """A well-typed pattern that t instantiates, and a wildcard-free twin for a rule's right side.
+
+    Holes of every kind appear. A variable's name is its type and one bit of
+    what it binds, so equal subterms share a name and unequal ones often do:
+    repeated (non-linear) names are common and both succeed and fail. The twin
+    keeps the variables, puts each wildcard's subterm back as a literal and
+    reverses list elements.
+    """
+    leaf = isinstance(t, Prim)
+    r = rng.random()
+    if r < (0.4 if leaf else 0.08):
+        var = PVar(f"{len(encode_term(t)) % 2}:{term_root_type(t)}", term_root_type(t))
+        return var, var
+    if r < (0.6 if leaf else 0.12):
+        return PWild(term_root_type(t)), PLit(t)
+    if isinstance(t, Con) and r < 0.95:
+        pairs = [_holey_pattern(rng, a) for a in t.args]
+        return (
+            PCon(t.name, t.type, tuple(lhs for lhs, _ in pairs)),
+            PCon(t.name, t.type, tuple(rhs for _, rhs in pairs)),
+        )
+    if isinstance(t, ListTerm) and r < 0.95:
+        lhs, rhs = [], []
+        i = 0
+        while i <= len(t.elems):
+            if rng.random() < 0.3:
+                j = rng.randint(i, len(t.elems))
+                if rng.random() < 0.5:
+                    bit = sum(len(encode_term(e)) for e in t.elems[i:j]) % 2
+                    var = PSeqVar(f"{bit}*:{t.elem_type}", t.elem_type)
+                    lhs.append(var)
+                    rhs.append(var)
+                else:
+                    lhs.append(PSeqWild(t.elem_type))
+                    rhs.extend(PLit(e) for e in t.elems[i:j])
+                i = j
+            if i < len(t.elems):
+                left, right = _holey_pattern(rng, t.elems[i])
+                lhs.append(left)
+                rhs.append(right)
+            i += 1
+        return PList(tuple(lhs), t.elem_type), PList(tuple(reversed(rhs)), t.elem_type)
+    return PLit(t), PLit(t)
+
+
+def _subject(rng):
+    """A JSON term; often one whose parts repeat, so non-linear names can bind."""
+    t = gen_json_term(rng, 3)
+    shape = rng.randint(0, 2)
+    if shape == 1:
+        return array([t, t, gen_json_term(rng, 1), t])
+    if shape == 2:
+        return obj([prop("k", t), prop("x", gen_json_term(rng, 1)), prop("k", t)])
+    return t
+
+
+def _swap_subtree(rng, t):
+    """t with one subterm replaced by another subterm of t of the same root type."""
+    subterms = all_subtrees(t)
+    path, old = rng.choice(subterms)
+    same = [s for _, s in subterms if term_root_type(s) == term_root_type(old)]
+    return replace_at(t, path, rng.choice(same))
+
+
+def _envs(matcher, p, t):
+    """Every env in order, each with its bindings in order, or the root type error."""
+    try:
+        return [list(env.items()) for env in matcher(p, t)]
+    except MatchTypeError:
+        return MatchTypeError
+
+
+def _ordered_hits(hits):
+    return [(path, list(env.items())) for path, env in hits]
+
+
+def test_match_agrees_with_the_oracle():
+    rng = random.Random(41)
+    env_counts = Counter()
+    for _ in range(500):
+        t = _subject(rng)
+        p, _ = _holey_pattern(rng, t)
+        for subject in (t, _swap_subtree(rng, t), _subject(rng)):
+            envs = _envs(match, p, subject)
+            assert envs == _envs(match_oracle, p, subject)
+            env_counts[-1 if envs is MatchTypeError else min(len(envs), 2)] += 1
+    assert min(env_counts[0], env_counts[1], env_counts[2]) > 30, env_counts
+
+
+def _hole_at(t, path: tuple, hole):
+    """The pattern of t as literals, with the subterm at path replaced by hole."""
+    if not path:
+        return hole
+    i, rest = path[0], path[1:]
+    kids = t.args if isinstance(t, Con) else t.elems
+    pats = tuple(_hole_at(k, rest, hole) if n == i else PLit(k) for n, k in enumerate(kids))
+    return PCon(t.name, t.type, pats) if isinstance(t, Con) else PList(pats, t.elem_type)
+
+
+def test_wildcard_matches_exactly_where_a_variable_does():
+    rng = random.Random(53)
+    for _ in range(60):
+        t = gen_json_term(rng, 3)
+        for path, _ in all_subtrees(t):
+            for ty in HOLE_TYPES:
+                wild = _envs(match, _hole_at(t, path, PWild(ty)), t)
+                var = _envs(match, _hole_at(t, path, PVar("v", ty)), t)
+                assert (wild is MatchTypeError) == (var is MatchTypeError)
+                assert bool(wild) == bool(var), (path, ty)
+
+
+def test_collect_agrees_with_the_oracle():
+    rng = random.Random(43)
+    for _ in range(300):
+        t = _subject(rng)
+        p, _ = _holey_pattern(rng, rng.choice(all_subtrees(t))[1])
+        hits = visit_collect(t, p)
+        assert _ordered_hits(hits) == _ordered_hits(visit_collect_oracle(t, p))
+
+
+def test_rewrite_agrees_with_the_oracle():
+    rng = random.Random(47)
+    for _ in range(300):
+        t = _subject(rng)
+        rules = [_holey_pattern(rng, rng.choice(all_subtrees(t))[1]) for _ in range(rng.randint(1, 3))]
+        assert visit_rewrite(t, rules) == visit_rewrite_oracle(t, rules)
+
+
 # ---------------------------------------------------------------------------
 # visit_collect
 
@@ -315,6 +482,17 @@ def test_rewrite_agrees_with_brute_oracle():
     for _ in range(200):
         t = gen_json_term(rng, 4)
         assert term_equals(visit_rewrite(t, rules), brute_rewrite(t, rules))
+
+
+def test_rewrite_survives_deep_nesting():
+    # The JSON parser accepts arrays nested up to about 490 deep.
+    t = null_()
+    for _ in range(400):
+        t = array([t])
+    out = visit_rewrite(t, [NULL_TO_FALSE])
+    for _ in range(400):
+        out = out.args[0].elems[0]
+    assert out == boolean(False)
 
 
 def test_rewrite_rejects_unbound_right_side():

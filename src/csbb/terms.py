@@ -256,6 +256,9 @@ class Signature:
             seen.add((c.type, c.name))
             for arg_name, arg_type in c.args:
                 self._check_ref(arg_type, f"{c.type}.{c.name}.{arg_name}")
+        # Not a field, so ==, hash and repr ignore it. (type, name) is unique.
+        index = {(c.type, c.name, c.arity): c for c in self.constructors}
+        object.__setattr__(self, "_by_key", index)
 
     def _check_ref(self, at: ArgType, where: str) -> None:
         if at.kind == "adt":
@@ -268,10 +271,7 @@ class Signature:
         return name in self.types
 
     def find(self, type_name: str, con_name: str, arity: int):
-        for c in self.constructors:
-            if c.type == type_name and c.name == con_name and c.arity == arity:
-                return c
-        return None
+        return self._by_key.get((type_name, con_name, arity))
 
     def constructors_of(self, type_name: str) -> list:
         return [c for c in self.constructors if c.type == type_name]

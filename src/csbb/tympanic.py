@@ -4,7 +4,8 @@ A mapping file declares, per concrete foreign class, guarded rules that send
 the class's members to the arguments of an internal constructor. From one
 mapping plus a declarative description of the foreign type hierarchy we infer
 the algebraic signature (and its printable module), and marshal foreign AST
-values into well-typed terms by interpreting the same rules.
+values into well-typed terms by running the same rules, compiled once per
+(spec, schema) pair.
 
 Surface syntax of a mapping file (`#` starts a line comment):
 
@@ -29,7 +30,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from types import MappingProxyType
 
 from .terms import (
     ArgType,
@@ -150,13 +155,35 @@ class EnumType:
     constants: tuple = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForeignSchema:
-    """The foreign parser's type hierarchy, declared rather than reflected."""
+    """The foreign parser's type hierarchy, declared rather than reflected.
 
-    types: dict = field(default_factory=dict)
+    Read-only once built: `types` is a read-only mapping, and construction
+    validates it and computes each type's supertype closure and member index,
+    so plans compiled from a schema (see `marshal`) never go stale.
+    """
 
-    def validate(self) -> None:
+    types: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "types", MappingProxyType(dict(self.types)))
+        self._validate()
+        # Not fields: derived from `types`, so ==, hash and repr ignore them.
+        closures = {name: self._walk_supers(name) for name in self.types}
+        members: dict = {}
+        for name, closure in closures.items():
+            for n in closure:
+                t = self.types[n]
+                if isinstance(t, ConcreteType):
+                    for m in t.members:
+                        members.setdefault((name, m.name), m)
+        object.__setattr__(self, "_closures", closures)
+        object.__setattr__(self, "_closure_sets", {n: frozenset(c) for n, c in closures.items()})
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_plans", {})  # id(spec) -> (spec, plan); see _plan
+
+    def _validate(self) -> None:
         for t in self.types.values():
             if isinstance(t, EnumType):
                 if len(set(t.constants)) != len(t.constants):
@@ -194,31 +221,30 @@ class ForeignSchema:
         else:
             self._check_ref(ref.elem, where)
 
-    def supers_closure(self, name: str) -> list:
-        """name plus all (transitive) supertypes, nearest first, declaration order."""
-        out: list = []
-        queue = [name]
+    def _walk_supers(self, name: str) -> tuple:
+        out: dict = {}  # insertion-ordered set
+        queue = deque([name])
         while queue:
-            n = queue.pop(0)
+            n = queue.popleft()
             if n in out:
                 continue
-            out.append(n)
-            t = self.types.get(n)
-            if t is not None and not isinstance(t, EnumType):
+            out[n] = None
+            t = self.types[n]
+            if not isinstance(t, EnumType):
                 queue.extend(t.supers)
-        return out
+        return tuple(out)
+
+    def supers_closure(self, name: str) -> tuple:
+        """name plus all (transitive) supertypes, nearest first, declaration order."""
+        return self._closures.get(name) or (name,)
 
     def is_subtype(self, sub: str, sup: str) -> bool:
-        return sup in self.supers_closure(sub)
+        closure = self._closure_sets.get(sub)
+        return sup == sub if closure is None else sup in closure
 
     def member(self, class_name: str, member_name: str) -> Member | None:
-        for n in self.supers_closure(class_name):
-            t = self.types.get(n)
-            if isinstance(t, ConcreteType):
-                for m in t.members:
-                    if m.name == member_name:
-                        return m
-        return None
+        """The member of that name nearest to class_name, or None."""
+        return self._members.get((class_name, member_name))
 
 
 def _ref_from_doc(doc) -> Ref:
@@ -242,7 +268,7 @@ def load_schema(doc) -> ForeignSchema:
             raise SchemaError(f"schema is not valid JSON: {e}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("types"), list):
         raise SchemaError("schema document lacks a types list")
-    schema = ForeignSchema()
+    types: dict = {}
     for entry in doc["types"]:
         if not isinstance(entry, dict):
             raise SchemaError(f"malformed schema entry {entry!r}")
@@ -257,11 +283,10 @@ def load_schema(doc) -> ForeignSchema:
             t = EnumType(entry["enum"], tuple(entry.get("constants", ())))
         else:
             raise SchemaError(f"schema entry {entry!r} is not abstract, concrete, or enum")
-        if t.name in schema.types or t.name in PRIMITIVE_MAP:
+        if t.name in types or t.name in PRIMITIVE_MAP:
             raise SchemaError(f"duplicate or reserved type name {t.name}")
-        schema.types[t.name] = t
-    schema.validate()
-    return schema
+        types[t.name] = t
+    return ForeignSchema(types)
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +346,68 @@ def load_foreign_value(doc) -> ForeignValue:
     return _fvalue(doc)
 
 
+_ARRAY = object()  # the tag of an open array on _fvalue's stack
+
+
 def _fvalue(doc) -> ForeignValue:
+    # An object or array waits on the stack while its children are read in
+    # document order, so nesting takes no Python stack.
+    value = _fnode(doc)
+    if value.__class__ is not list:
+        return value
+    stack = [value]  # of [tag or _ARRAY, (key, child) iterator, values read, key in parent]
+    while True:
+        top = stack[-1]
+        tag, out = top[0], top[2]
+        for key, child in top[1]:
+            value = _fnode(child)
+            if value.__class__ is list:
+                value[3] = key
+                stack.append(value)
+                break
+            if tag is _ARRAY:
+                out.append(value)
+            else:
+                out[key] = value
+        else:
+            stack.pop()
+            value = FArr(tuple(out)) if tag is _ARRAY else FObj(tag, out)
+            if not stack:
+                return value
+            if stack[-1][0] is _ARRAY:
+                stack[-1][2].append(value)
+            else:
+                stack[-1][2][top[3]] = value
+
+
+def _fnode(doc):
+    """A leaf value, or an opened object or array as a new _fvalue stack entry."""
     if doc is None:
         return None
     if not isinstance(doc, dict):
         raise SchemaError(f"malformed foreign value {doc!r}")
-    keys = set(doc)
-    if keys == {"type", "fields"}:
-        return FObj(doc["type"], {k: _fvalue(v) for k, v in doc["fields"].items()})
-    if keys == {"type"}:
-        return FObj(doc["type"], {})
-    if keys == {"enum"}:
-        path = doc["enum"].split(".")
-        if len(path) < 2:
-            raise SchemaError(f"enum literal {doc['enum']!r} needs the form Enum.CONST")
-        return FEnum(path[-2], path[-1])
-    if keys == {"int"}:
-        return FInt(int(doc["int"]))
-    if keys == {"bool"}:
-        return FBool(bool(doc["bool"]))
-    if keys == {"str"}:
-        return FStr(str(doc["str"]))
-    if keys == {"real"}:
-        return FReal(float(doc["real"]))
-    if keys == {"array"}:
-        return FArr(tuple(_fvalue(e) for e in doc["array"]))
-    raise SchemaError(f"unrecognized foreign value with keys {sorted(keys)}")
+    if len(doc) == 1:
+        ((key, val),) = doc.items()
+        if key == "type":
+            return FObj(val, {})
+        if key == "enum":
+            path = val.split(".")
+            if len(path) < 2:
+                raise SchemaError(f"enum literal {val!r} needs the form Enum.CONST")
+            return FEnum(path[-2], path[-1])
+        if key == "int":
+            return FInt(int(val))
+        if key == "bool":
+            return FBool(bool(val))
+        if key == "str":
+            return FStr(str(val))
+        if key == "real":
+            return FReal(float(val))
+        if key == "array":
+            return [_ARRAY, enumerate(val), [], None]
+    elif len(doc) == 2 and "type" in doc and "fields" in doc:
+        return [doc["type"], iter(doc["fields"].items()), {}, None]
+    raise SchemaError(f"unrecognized foreign value with keys {sorted(doc)}")
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +754,52 @@ def infer_signature(spec: TympanicSpec, schema: ForeignSchema):
     Returns (Signature, module text). Constructors keep spec order; inline
     enum ADTs are appended after the mapped ADTs.
     """
+    plan = _plan(spec, schema)
+    return plan.sig, plan.module
+
+
+# ---------------------------------------------------------------------------
+# The compiled mapping
+#
+# A plan resolves every rule of a spec against a schema once: its guards, the
+# type of each argument, and the rule set each foreign class dispatches to.
+# infer_signature and marshal both read it.
+
+
+@dataclass(frozen=True, slots=True)
+class _RulePlan:
+    ctor: str
+    adt: str  # the ADT the rule's class maps to
+    guards: tuple  # of (member, predicate on the member's value), field order
+    members: tuple  # the member feeding each argument
+    slots: tuple  # per argument, its ArgType or the inline enum's Con itself
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    sig: Signature
+    module: str
+    dispatch: dict  # tag -> (class with rules, its _RulePlans, the tag's own ADT type)
+
+
+def _plan(spec: TympanicSpec, schema: ForeignSchema) -> _Plan:
+    """The plan for this pair of objects, built on first use."""
+    # Keyed by identity, since hashing a spec costs more than marshalling a
+    # small value. The entry holds the spec, so its id is not reused while the
+    # entry lives, and spec and schema are immutable, so the plan stays valid.
+    hit = schema._plans.get(id(spec))
+    if hit is None:
+        hit = schema._plans[id(spec)] = (spec, _build_plan(spec, schema))
+    return hit[1]
+
+
+def _build_plan(spec: TympanicSpec, schema: ForeignSchema) -> _Plan:
     ctors: list = []
     enum_ctors: dict = {}
+    rules_by_class: dict = {}
     for cm in spec.mappings:
         adt_name = _mapped_adt(spec, schema, cm.class_name)
+        rules: list = []
         for rule in cm.rules:
             active = rule.active_fields()
             if len(active) != len(rule.args):
@@ -705,69 +808,94 @@ def infer_signature(spec: TympanicSpec, schema: ForeignSchema):
                     f"{rule.ctor}/{len(rule.args)}"
                 )
             args: list = []
+            slots: list = []
             for f, a in zip(active, rule.args):
                 if a.enum_type is not None:
                     enum_ctors.setdefault(a.enum_type, [])
                     if a.enum_ctor not in enum_ctors[a.enum_type]:
                         enum_ctors[a.enum_type].append(a.enum_ctor)
                     args.append((a.name, adt(a.enum_type)))
+                    slots.append(Con(a.enum_ctor, a.enum_type, ()))
                 else:
-                    args.append((a.name, _field_argtype(spec, schema, cm.class_name, f)))
+                    at = _field_argtype(spec, schema, cm.class_name, f)
+                    args.append((a.name, at))
+                    slots.append(at)
             ctors.append(Constructor(rule.ctor, adt_name, tuple(args)))
+            guards = tuple(
+                (f.member, _guard(schema, f)) for f in rule.fields if f.kind not in ("plain", "optional")
+            )
+            members = tuple(f.member for f in active)
+            rules.append(_RulePlan(rule.ctor, adt_name, guards, members, tuple(slots)))
+        rules_by_class[cm.class_name] = tuple(rules)
     for enum_name, names in enum_ctors.items():
         for n in names:
             ctors.append(Constructor(n, enum_name, ()))
     types = {c.type for c in ctors} | {a for _, a in spec.types}
     sig = Signature(frozenset(types), tuple(ctors))
     module = "module " + "::".join(spec.export) + "\n\n" + render_signature(sig)
-    return sig, module
+
+    # A tag dispatches to the nearest of its supertypes that has rules. Tags
+    # outside the schema have no entry.
+    dispatch: dict = {}
+    for tag in schema.types:
+        for name in schema.supers_closure(tag):
+            if name in rules_by_class:
+                own = adt(_mapped_adt(spec, schema, tag))
+                dispatch[tag] = (name, rules_by_class[name], own)
+                break
+    return _Plan(sig, module, dispatch)
+
+
+_PRIM_CLASS = {"int": FInt, "bool": FBool, "str": FStr, "real": FReal}
+
+
+def _guard(schema: ForeignSchema, f: FieldSpec):
+    """The guard of an eq, neq, cast or cast_array field, as a predicate."""
+    if f.kind == "eq":
+        return _literal_test(f.literal)
+    if f.kind == "neq":
+        matches = _literal_test(f.literal)
+        return lambda v: not matches(v)
+    conforms = _conforms_test(schema, f.cast_to)
+    if f.kind == "cast":
+        return conforms
+    return lambda v: isinstance(v, FArr) and all(map(conforms, v.elems))
+
+
+def _literal_test(lit: ForeignLit):
+    value = lit.value
+    if lit.kind == "null":
+        return lambda v: v is None
+    if lit.kind == "bool":
+        return lambda v: isinstance(v, FBool) and v.value is value
+    if lit.kind == "int":
+        return lambda v: isinstance(v, FInt) and v.value == value
+    # Enum constant paths compare on the trailing Enum.CONST components so
+    # package qualifiers in the mapping file are tolerated.
+    const = value[-1]
+    if len(value) == 1:
+        return lambda v: isinstance(v, FEnum) and v.const == const
+    enum = value[-2]
+    return lambda v: isinstance(v, FEnum) and v.const == const and v.enum == enum
+
+
+def _conforms_test(schema: ForeignSchema, target: str):
+    """Whether a value's run-time class is target or a subtype of it."""
+    known = target in schema.types
+    prim_class = _PRIM_CLASS.get(PRIMITIVE_MAP.get(target))
+
+    def conforms(v) -> bool:
+        if isinstance(v, FObj):
+            return known and schema.is_subtype(v.tag, target)
+        if isinstance(v, FEnum):
+            return v.enum == target
+        return type(v) is prim_class
+
+    return conforms
 
 
 # ---------------------------------------------------------------------------
-# Marshalling (interpreted)
-
-
-def _runtime_conforms(schema: ForeignSchema, v: ForeignValue, target: str) -> bool:
-    if v is None:
-        return False
-    if isinstance(v, FObj):
-        return target in schema.types and schema.is_subtype(v.tag, target)
-    if isinstance(v, FEnum):
-        return v.enum == target
-    kind = {FInt: "Integer", FBool: "Boolean", FStr: "String", FReal: "Double"}.get(type(v))
-    return kind == target
-
-
-def _lit_matches(lit: ForeignLit, v: ForeignValue) -> bool:
-    if lit.kind == "null":
-        return v is None
-    if lit.kind == "bool":
-        return isinstance(v, FBool) and v.value is lit.value
-    if lit.kind == "int":
-        return isinstance(v, FInt) and v.value == lit.value
-    # Enum constant paths compare on the trailing Enum.CONST components so
-    # package qualifiers in the mapping file are tolerated.
-    if not isinstance(v, FEnum):
-        return False
-    path = lit.value
-    if path[-1] != v.const:
-        return False
-    return len(path) == 1 or path[-2] == v.enum
-
-
-def _guard_holds(schema: ForeignSchema, f: FieldSpec, obj: FObj) -> bool:
-    v = obj.fields.get(f.member)
-    if f.kind == "eq":
-        return _lit_matches(f.literal, v)
-    if f.kind == "neq":
-        return not _lit_matches(f.literal, v)
-    if f.kind == "cast":
-        return _runtime_conforms(schema, v, f.cast_to)
-    if f.kind == "cast_array":
-        return isinstance(v, FArr) and all(
-            _runtime_conforms(schema, e, f.cast_to) for e in v.elems
-        )
-    return True  # plain and optional never fail
+# Marshalling
 
 
 def marshal(spec: TympanicSpec, schema: ForeignSchema, value: ForeignValue) -> Term:
@@ -775,63 +903,85 @@ def marshal(spec: TympanicSpec, schema: ForeignSchema, value: ForeignValue) -> T
 
     Dispatch picks the most specific rule set whose class is a supertype of
     the value's tag; its rules fire in textual order, first applicable wins.
+    The rules are compiled once per (spec, schema) pair of objects, and the
+    value is walked with an explicit stack, so its depth takes no Python stack.
     """
-    sig, _ = infer_signature(spec, schema)
-    rules_by_class = {cm.class_name: cm for cm in spec.mappings}
-
-    def dispatch(v: ForeignValue, path: tuple) -> Term:
-        if not isinstance(v, FObj):
-            raise NoApplicableRule(f"cannot dispatch on {type(v).__name__} value", path)
-        cm = None
-        for name in schema.supers_closure(v.tag):
-            cm = rules_by_class.get(name)
-            if cm is not None:
-                break
-        if cm is None:
-            raise NoApplicableRule(f"no rules cover class {v.tag}", path)
-        for rule in cm.rules:
-            if all(_guard_holds(schema, f, v) for f in rule.fields):
-                return fire(cm.class_name, rule, v, path)
-        raise NoApplicableRule(f"no rule for {cm.class_name} applies to this {v.tag}", path)
-
-    def fire(class_name: str, rule: Rule, obj: FObj, path: tuple) -> Term:
-        args: list = []
-        for f, a in zip(rule.active_fields(), rule.args):
-            if a.enum_type is not None:
-                args.append(Con(a.enum_ctor, a.enum_type, ()))
+    plan = _plan(spec, schema)
+    dispatch = plan.dispatch
+    if not isinstance(value, FObj):
+        raise NoApplicableRule(f"cannot dispatch on {type(value).__name__} value", ())
+    # Constructor applications and lists whose arguments are being converted,
+    # outermost first. A frame is [(key, value, slot) iterator, terms so far,
+    # the _RulePlan or list ArgType to build, path step from its parent, whether
+    # to wrap the result in just].
+    stack: list = []
+    stack.append(_open(dispatch, value, stack, None, False))
+    while True:
+        frame = stack[-1]
+        out = frame[1]
+        for key, v, slot in frame[0]:
+            if slot.__class__ is Con:  # an inline enum
+                out.append(slot)
                 continue
-            at = _field_argtype(spec, schema, class_name, f)
-            args.append(convert(obj.fields.get(f.member), at, path + (f.member,)))
-        return Con(rule.ctor, _mapped_adt(spec, schema, class_name), tuple(args))
-
-    def convert(v: ForeignValue, at: ArgType, path: tuple) -> Term:
-        if at.kind == "maybe":
-            return nothing_() if v is None else just_(convert(v, at.elem, path))
-        if v is None:
-            raise NullNotOptional("null in a non-optional position", path)
-        if at.kind == "prim":
-            expected = {"int": FInt, "bool": FBool, "str": FStr, "real": FReal}[at.name]
-            if isinstance(v, expected):
-                value = float(v.value) if at.name == "real" else v.value
-                return Prim(at.name, value)
-            raise CastFailure(f"expected a {at.name} value, got {type(v).__name__}", path)
-        if at.kind == "list":
-            if not isinstance(v, FArr):
-                raise CastFailure(f"expected an array, got {type(v).__name__}", path)
-            return ListTerm(
-                tuple(convert(e, at.elem, path + (i,)) for i, e in enumerate(v.elems)), at.elem
-            )
-        # adt
-        if not isinstance(v, FObj):
-            raise CastFailure(f"expected an object, got {type(v).__name__}", path)
-        return dispatch(v, path)
-
-    result = dispatch(value, ())
-    root_adt = _mapped_adt(spec, schema, value.tag)
-    issues = check_term(sig, result, adt(root_adt))
+            at, just = slot, False
+            if at.kind == "maybe":
+                if v is None:
+                    out.append(nothing_())
+                    continue
+                at, just = at.elem, True
+            if v is None:
+                raise NullNotOptional("null in a non-optional position", _path(stack, key))
+            if at.kind == "prim":
+                if not isinstance(v, _PRIM_CLASS[at.name]):
+                    raise CastFailure(
+                        f"expected a {at.name} value, got {type(v).__name__}", _path(stack, key)
+                    )
+                t = Prim(at.name, float(v.value) if at.name == "real" else v.value)
+                out.append(just_(t) if just else t)
+            elif at.kind == "list":
+                if not isinstance(v, FArr):
+                    raise CastFailure(f"expected an array, got {type(v).__name__}", _path(stack, key))
+                stack.append([zip(count(), v.elems, repeat(at.elem)), [], at, key, just])
+                break
+            else:  # adt
+                if not isinstance(v, FObj):
+                    raise CastFailure(f"expected an object, got {type(v).__name__}", _path(stack, key))
+                stack.append(_open(dispatch, v, stack, key, just))
+                break
+        else:
+            stack.pop()
+            made = frame[2]
+            t = Con(made.ctor, made.adt, out) if made.__class__ is _RulePlan else ListTerm(out, made.elem)
+            if frame[4]:
+                t = just_(t)
+            if not stack:
+                break
+            stack[-1][1].append(t)
+    issues = check_term(plan.sig, t, dispatch[value.tag][2])
     if issues:  # the rules above should make this impossible
         raise MarshalError(f"marshalled term is ill-typed: {issues[0]}", ())
-    return result
+    return t
+
+
+def _open(dispatch: dict, obj: FObj, stack: list, key, just: bool) -> list:
+    """The frame of the first rule that applies to obj, found at key under stack."""
+    entry = dispatch.get(obj.tag)
+    if entry is None:
+        raise NoApplicableRule(f"no rules cover class {obj.tag}", _path(stack, key))
+    class_name, rules, _ = entry
+    fields = obj.fields
+    for rule in rules:
+        for member, holds in rule.guards:
+            if not holds(fields.get(member)):
+                break
+        else:
+            return [zip(rule.members, map(fields.get, rule.members), rule.slots), [], rule, key, just]
+    raise NoApplicableRule(f"no rule for {class_name} applies to this {obj.tag}", _path(stack, key))
+
+
+def _path(stack: list, key) -> tuple:
+    """The path to the value at key in the innermost frame; the root has no step."""
+    return tuple(f[3] for f in stack[1:]) + (key,) if stack else ()
 
 
 # ---------------------------------------------------------------------------

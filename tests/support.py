@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 import struct
 
@@ -39,11 +40,35 @@ from csbb.patterns import (
 )
 from csbb.terms import (
     Con,
+    Constructor,
     ListTerm,
     Prim,
+    Signature,
     adt,
+    check_term,
     encode_term,
+    just_,
+    nothing_,
+    render_signature,
     term_root_type,
+)
+from csbb.tympanic import (
+    ArityMismatch,
+    CastFailure,
+    EnumType,
+    FArr,
+    FBool,
+    FEnum,
+    FInt,
+    FObj,
+    FReal,
+    FStr,
+    MarshalError,
+    NoApplicableRule,
+    NullNotOptional,
+    SchemaError,
+    _field_argtype,
+    _mapped_adt,
 )
 
 # ---------------------------------------------------------------------------
@@ -669,3 +694,206 @@ def enumerate_atom_lists(max_len: int = 5):
         for combo in itertools.product((ATOM_X, ATOM_Y), repeat=length):
             lists.append(ListTerm(combo, adt("JSON")))
     return lists
+
+
+# ---------------------------------------------------------------------------
+# Tympanic oracles: the interpreted marshaller, signature inference, foreign
+# value reader and supertype walk as they were before the mapping was compiled
+# into a plan. The function bodies are copied unchanged; only the names differ
+# (marshal_oracle calls infer_signature_oracle).
+
+
+def supers_closure_oracle(schema, name: str) -> list:
+    """name plus all (transitive) supertypes, nearest first, declaration order."""
+    out: list = []
+    queue = [name]
+    while queue:
+        n = queue.pop(0)
+        if n in out:
+            continue
+        out.append(n)
+        t = schema.types.get(n)
+        if t is not None and not isinstance(t, EnumType):
+            queue.extend(t.supers)
+    return out
+
+
+def load_foreign_value_oracle(doc):
+    """Build a foreign value from its JSON document form (a dict or JSON text)."""
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"foreign value is not valid JSON: {e}") from None
+    return _fvalue_oracle(doc)
+
+
+def _fvalue_oracle(doc):
+    if doc is None:
+        return None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"malformed foreign value {doc!r}")
+    keys = set(doc)
+    if keys == {"type", "fields"}:
+        return FObj(doc["type"], {k: _fvalue_oracle(v) for k, v in doc["fields"].items()})
+    if keys == {"type"}:
+        return FObj(doc["type"], {})
+    if keys == {"enum"}:
+        path = doc["enum"].split(".")
+        if len(path) < 2:
+            raise SchemaError(f"enum literal {doc['enum']!r} needs the form Enum.CONST")
+        return FEnum(path[-2], path[-1])
+    if keys == {"int"}:
+        return FInt(int(doc["int"]))
+    if keys == {"bool"}:
+        return FBool(bool(doc["bool"]))
+    if keys == {"str"}:
+        return FStr(str(doc["str"]))
+    if keys == {"real"}:
+        return FReal(float(doc["real"]))
+    if keys == {"array"}:
+        return FArr(tuple(_fvalue_oracle(e) for e in doc["array"]))
+    raise SchemaError(f"unrecognized foreign value with keys {sorted(keys)}")
+
+
+def infer_signature_oracle(spec, schema):
+    """Infer the signature and render its module text.
+
+    Returns (Signature, module text). Constructors keep spec order; inline
+    enum ADTs are appended after the mapped ADTs.
+    """
+    ctors: list = []
+    enum_ctors: dict = {}
+    for cm in spec.mappings:
+        adt_name = _mapped_adt(spec, schema, cm.class_name)
+        for rule in cm.rules:
+            active = rule.active_fields()
+            if len(active) != len(rule.args):
+                raise ArityMismatch(
+                    f"rule for {cm.class_name}: {len(active)} fields feed "
+                    f"{rule.ctor}/{len(rule.args)}"
+                )
+            args: list = []
+            for f, a in zip(active, rule.args):
+                if a.enum_type is not None:
+                    enum_ctors.setdefault(a.enum_type, [])
+                    if a.enum_ctor not in enum_ctors[a.enum_type]:
+                        enum_ctors[a.enum_type].append(a.enum_ctor)
+                    args.append((a.name, adt(a.enum_type)))
+                else:
+                    args.append((a.name, _field_argtype(spec, schema, cm.class_name, f)))
+            ctors.append(Constructor(rule.ctor, adt_name, tuple(args)))
+    for enum_name, names in enum_ctors.items():
+        for n in names:
+            ctors.append(Constructor(n, enum_name, ()))
+    types = {c.type for c in ctors} | {a for _, a in spec.types}
+    sig = Signature(frozenset(types), tuple(ctors))
+    module = "module " + "::".join(spec.export) + "\n\n" + render_signature(sig)
+    return sig, module
+
+
+def _runtime_conforms(schema, v, target: str) -> bool:
+    if v is None:
+        return False
+    if isinstance(v, FObj):
+        return target in schema.types and schema.is_subtype(v.tag, target)
+    if isinstance(v, FEnum):
+        return v.enum == target
+    kind = {FInt: "Integer", FBool: "Boolean", FStr: "String", FReal: "Double"}.get(type(v))
+    return kind == target
+
+
+def _lit_matches(lit, v) -> bool:
+    if lit.kind == "null":
+        return v is None
+    if lit.kind == "bool":
+        return isinstance(v, FBool) and v.value is lit.value
+    if lit.kind == "int":
+        return isinstance(v, FInt) and v.value == lit.value
+    # Enum constant paths compare on the trailing Enum.CONST components so
+    # package qualifiers in the mapping file are tolerated.
+    if not isinstance(v, FEnum):
+        return False
+    path = lit.value
+    if path[-1] != v.const:
+        return False
+    return len(path) == 1 or path[-2] == v.enum
+
+
+def _guard_holds(schema, f, obj) -> bool:
+    v = obj.fields.get(f.member)
+    if f.kind == "eq":
+        return _lit_matches(f.literal, v)
+    if f.kind == "neq":
+        return not _lit_matches(f.literal, v)
+    if f.kind == "cast":
+        return _runtime_conforms(schema, v, f.cast_to)
+    if f.kind == "cast_array":
+        return isinstance(v, FArr) and all(
+            _runtime_conforms(schema, e, f.cast_to) for e in v.elems
+        )
+    return True  # plain and optional never fail
+
+
+def marshal_oracle(spec, schema, value):
+    """Convert a foreign value to a term over the inferred signature.
+
+    Dispatch picks the most specific rule set whose class is a supertype of
+    the value's tag; its rules fire in textual order, first applicable wins.
+    """
+    sig, _ = infer_signature_oracle(spec, schema)
+    rules_by_class = {cm.class_name: cm for cm in spec.mappings}
+
+    def dispatch(v, path: tuple):
+        if not isinstance(v, FObj):
+            raise NoApplicableRule(f"cannot dispatch on {type(v).__name__} value", path)
+        cm = None
+        for name in schema.supers_closure(v.tag):
+            cm = rules_by_class.get(name)
+            if cm is not None:
+                break
+        if cm is None:
+            raise NoApplicableRule(f"no rules cover class {v.tag}", path)
+        for rule in cm.rules:
+            if all(_guard_holds(schema, f, v) for f in rule.fields):
+                return fire(cm.class_name, rule, v, path)
+        raise NoApplicableRule(f"no rule for {cm.class_name} applies to this {v.tag}", path)
+
+    def fire(class_name: str, rule, obj, path: tuple):
+        args: list = []
+        for f, a in zip(rule.active_fields(), rule.args):
+            if a.enum_type is not None:
+                args.append(Con(a.enum_ctor, a.enum_type, ()))
+                continue
+            at = _field_argtype(spec, schema, class_name, f)
+            args.append(convert(obj.fields.get(f.member), at, path + (f.member,)))
+        return Con(rule.ctor, _mapped_adt(spec, schema, class_name), tuple(args))
+
+    def convert(v, at, path: tuple):
+        if at.kind == "maybe":
+            return nothing_() if v is None else just_(convert(v, at.elem, path))
+        if v is None:
+            raise NullNotOptional("null in a non-optional position", path)
+        if at.kind == "prim":
+            expected = {"int": FInt, "bool": FBool, "str": FStr, "real": FReal}[at.name]
+            if isinstance(v, expected):
+                value = float(v.value) if at.name == "real" else v.value
+                return Prim(at.name, value)
+            raise CastFailure(f"expected a {at.name} value, got {type(v).__name__}", path)
+        if at.kind == "list":
+            if not isinstance(v, FArr):
+                raise CastFailure(f"expected an array, got {type(v).__name__}", path)
+            return ListTerm(
+                tuple(convert(e, at.elem, path + (i,)) for i, e in enumerate(v.elems)), at.elem
+            )
+        # adt
+        if not isinstance(v, FObj):
+            raise CastFailure(f"expected an object, got {type(v).__name__}", path)
+        return dispatch(v, path)
+
+    result = dispatch(value, ())
+    root_adt = _mapped_adt(spec, schema, value.tag)
+    issues = check_term(sig, result, adt(root_adt))
+    if issues:  # the rules above should make this impossible
+        raise MarshalError(f"marshalled term is ill-typed: {issues[0]}", ())
+    return result

@@ -81,6 +81,32 @@ def test_signature_rejects_unresolved_adt_reference():
         Signature(frozenset({"A"}), (Constructor("c", "A", (("x", adt("Nope")),)),))
 
 
+def test_find_agrees_with_a_linear_scan():
+    from csbb.exprlang import SIGNATURE as EXPR_SIGNATURE
+
+    def scan(sig, type_name, con_name, arity):
+        for c in sig.constructors:
+            if c.type == type_name and c.name == con_name and c.arity == arity:
+                return c
+        return None
+
+    for sig in (JSON_SIGNATURE, EXPR_SIGNATURE):
+        names = {c.name for c in sig.constructors} | {"nope"}
+        for type_name in sorted(sig.types | {"Nope"}):
+            for con_name in sorted(names):
+                for arity in range(4):
+                    assert sig.find(type_name, con_name, arity) is scan(sig, type_name, con_name, arity)
+
+
+def test_find_index_is_not_part_of_the_value():
+    import dataclasses
+
+    sig = parse_signature(render_signature(JSON_SIGNATURE))
+    assert [f.name for f in dataclasses.fields(Signature)] == ["types", "constructors"]
+    assert sig == JSON_SIGNATURE and hash(sig) == hash(JSON_SIGNATURE)
+    assert repr(sig) == f"Signature(types={sig.types!r}, constructors={sig.constructors!r})"
+
+
 # ---------------------------------------------------------------------------
 # check_term
 

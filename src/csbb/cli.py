@@ -19,7 +19,6 @@ import sys
 from . import concrete, pretty, tympanic
 from .concrete import (
     HoleCaptured,
-    ParserError,
     ParserRegistry,
     PipelineError,
     RegistryConfigError,
@@ -69,9 +68,6 @@ def cmd_parse(args) -> int:
     try:
         text = args.text if args.text is not None else _read(args.file)
         term = concrete.parse_term(args.lang, text, reg)
-    except ParserError as e:
-        _err(str(e))
-        return 2
     except PipelineError as e:
         _err(str(e))
         return 2

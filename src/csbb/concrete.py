@@ -29,14 +29,14 @@ from .patterns import (
     PWild,
 )
 from .terms import (
-    Con,
     ListTerm,
-    Prim,
     Signature,
     Term,
     TermDecodeError,
     adt,
     check_term,
+    children,
+    fold,
     parse_signature,
     term_from_wire,
 )
@@ -335,9 +335,33 @@ def lift(t: Term, table: list, *, lenient: bool = False) -> Pattern:
     counts = {entry.index: 0 for entry in table}
     by_image = {entry.image: entry for entry in reversed(table)}  # the first entry wins
 
-    def replace(entry: HoleEntry, in_list: bool) -> Pattern:
+    found: dict = {}  # id of an image in t -> its entry; looked up once per node
+
+    def kids(node: Term) -> tuple:
+        entry = by_image.get(node)
+        if entry is None:
+            return children(node)
+        found[id(node)] = entry
+        return ()  # an image is a leaf
+
+    # A subtree without holes lifts to None; a parent with holes wraps it in a PLit.
+    def leave(node: Term, lifted, path: list):
+        if lifted:
+            if not any(lifted):
+                return None
+            ps = tuple(PLit(k) if p is None else p for k, p in zip(children(node), lifted))
+            if node.__class__ is ListTerm:
+                return PList(ps, node.elem_type)
+            return PCon(node.name, node.type, ps)
+        entry = found.get(id(node))
+        if entry is None:
+            return None
+        counts[entry.index] += 1
         if entry.star:
-            if not in_list:
+            parent = t
+            for i in path[:-1]:
+                parent = children(parent)[i]
+            if not path or parent.__class__ is not ListTerm:
                 raise StarHoleNotInList(entry.index)
             if entry.name == "_":
                 return PSeqWild(adt(entry.type))
@@ -346,32 +370,14 @@ def lift(t: Term, table: list, *, lenient: bool = False) -> Pattern:
             return PWild(adt(entry.type))
         return PVar(entry.name, adt(entry.type))
 
-    def go(node: Term, in_list: bool):
-        entry = by_image.get(node)
-        if entry is not None:
-            counts[entry.index] += 1
-            return replace(entry, in_list), True
-        if isinstance(node, Prim):
-            return PLit(node), False
-        is_list = isinstance(node, ListTerm)
-        lifted = []
-        for kid in node.elems if is_list else node.args:  # a loop, not a comprehension: half the stack
-            lifted.append(go(kid, is_list))
-        if not any(h for _, h in lifted):
-            return PLit(node), False
-        kids = tuple(p for p, _ in lifted)
-        if is_list:
-            return PList(kids, node.elem_type), True
-        return PCon(node.name, node.type, kids), True
-
-    pattern, _ = go(t, False)
+    pattern = fold(t, leave, kids)
     for entry in table:
         n = counts[entry.index]
         if n == 0:
             raise HoleNotFound(entry.index)
         if n > 1 and not lenient:
             raise HoleCaptured(entry.index, n)
-    return pattern
+    return PLit(t) if pattern is None else pattern
 
 
 def to_pattern(nonterminal: str, text: str, reg: ParserRegistry, *, lenient: bool = False) -> Pattern:
@@ -453,7 +459,7 @@ class SubprocessParser:
         """The term in one reply line, or the child's syntax error raised."""
         try:
             response = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ProtocolError(f"malformed response line from {self.command}: {e}") from None
         if not isinstance(response, dict) or "ok" not in response:
             raise ProtocolError(f"response from {self.command} lacks an ok field")
@@ -462,7 +468,7 @@ class SubprocessParser:
                 raise ProtocolError(f"ok response from {self.command} lacks a term")
             try:
                 return term_from_wire(response["term"])
-            except TermDecodeError as e:
+            except (TermDecodeError, RecursionError) as e:
                 raise ProtocolError(f"undecodable term from {self.command}: {e}") from None
         try:
             return_line = int(response.get("line", 0))
@@ -505,14 +511,12 @@ class SubprocessParser:
 
 def _project(t: Term, path, nonterminal: str) -> Term:
     for idx in path:
-        if isinstance(t, Con) and idx < len(t.args):
-            t = t.args[idx]
-        elif isinstance(t, ListTerm) and idx < len(t.elems):
-            t = t.elems[idx]
-        else:
+        kids = children(t)
+        if idx >= len(kids):
             raise ParserError(
                 f"context projection {list(path)} for {nonterminal} fell off the tree", 0, 0
             )
+        t = kids[idx]
     return t
 
 

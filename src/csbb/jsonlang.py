@@ -7,6 +7,9 @@ primitive. Object properties keep their source order.
 
 from __future__ import annotations
 
+import math
+from json.encoder import encode_basestring  # JSON string syntax, quotes included
+
 from .concrete import ParserError, ParserRegistry
 from .terms import (
     Con,
@@ -17,6 +20,7 @@ from .terms import (
     Term,
     adt,
     check_term,
+    emit,
     format_real,
     list_of,
     prim,
@@ -209,6 +213,7 @@ class _JsonParser:
         if ch in _ESCAPES:
             return _ESCAPES[ch]
         if ch == "u":
+            start = self.pos - 2
             code = self.hex4()
             if 0xD800 <= code <= 0xDBFF and self.text[self.pos:self.pos + 2] == "\\u":
                 self.pos += 2
@@ -217,6 +222,8 @@ class _JsonParser:
                     code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
                 else:
                     self.fail("invalid low surrogate", self.pos - 4)
+            elif 0xD800 <= code <= 0xDFFF:  # strings must encode to UTF-8 (RFC 8259, section 8.2)
+                self.fail("lone surrogate escape", start)
             return chr(code)
         self.fail(f"invalid escape \\{ch}", self.pos - 1)
 
@@ -252,7 +259,10 @@ class _JsonParser:
                 self.fail("expected an exponent digit")
             while self.peek() in _DIGITS:
                 self.pos += 1
-        return float(self.text[start:self.pos])
+        x = float(self.text[start:self.pos])
+        if not math.isfinite(x):
+            self.fail("number out of range", start)
+        return x
 
 
 def parse_json(text: str) -> Term:
@@ -303,54 +313,24 @@ def print_json(t: Term) -> str:
     issues = check_term(JSON_SIGNATURE, t, adt(root))
     if issues:
         raise ValueError(f"not a well-typed {root} term: {issues[0]}")
-    out: list = []
-    _print(t, out)
-    return "".join(out)
+    return emit(t, _print)
 
 
-def _print(t: Term, out: list) -> None:
-    if t.name == "null":
-        out.append("null")
-    elif t.name == "boolean":
-        out.append("true" if t.args[0].value else "false")
-    elif t.name == "number":
-        out.append(format_real(t.args[0].value))
-    elif t.name == "string":
-        out.append(_quote(t.args[0].value))
-    elif t.name == "array":
-        out.append("[")
-        for i, e in enumerate(t.args[0].elems):
-            if i:
-                out.append(",")
-            _print(e, out)
-        out.append("]")
-    elif t.name == "object":
-        out.append("{")
-        for i, p in enumerate(t.args[0].elems):
-            if i:
-                out.append(",")
-            _print(p, out)
-        out.append("}")
-    else:  # prop
-        out.append(_quote(t.args[0].args[0].value))
-        out.append(":")
-        _print(t.args[1], out)
-
-
-_QUOTE_MAP = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _quote(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in _QUOTE_MAP:
-            out.append(_QUOTE_MAP[ch])
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+def _print(t: Con):
+    name = t.name
+    if name == "object":
+        return "{", t.args[0].elems, "}"
+    if name == "array":
+        return "[", t.args[0].elems, "]"
+    if name == "prop":
+        return encode_basestring(t.args[0].args[0].value) + ":", t.args[1:], ""
+    if name == "string":
+        return encode_basestring(t.args[0].value)
+    if name == "number":
+        return format_real(t.args[0].value)
+    if name == "boolean":
+        return "true" if t.args[0].value else "false"
+    return "null"
 
 
 def register_json(reg: ParserRegistry) -> None:

@@ -15,11 +15,9 @@ from .terms import (
     ArgType,
     Con,
     ListTerm,
-    Signature,
     Term,
-    TypeIssue,
     adt,
-    check_term,
+    fold,
     list_of,
     term_root_type,
 )
@@ -139,36 +137,36 @@ def types_compatible(a: ArgType, b: ArgType) -> bool:
     return False
 
 
+def _subpatterns(p: Pattern) -> tuple:
+    """The direct subpatterns of p, left to right."""
+    c = p.__class__
+    if c is PCon:
+        return p.args
+    if c is PList:
+        return p.elems
+    return ()
+
+
 def pattern_vars(p: Pattern) -> dict:
     """Map variable name -> ("var" | "seq", declared ArgType). Wildcards are skipped."""
     out: dict = {}
 
-    def go(q: Pattern) -> None:
-        if isinstance(q, PVar):
-            if out.setdefault(q.name, ("var", q.type)) != ("var", q.type):
-                raise PatternStructureError(f"variable {q.name!r} used at conflicting types")
-        elif isinstance(q, PSeqVar):
-            if out.setdefault(q.name, ("seq", q.elem_type)) != ("seq", q.elem_type):
-                raise PatternStructureError(f"variable {q.name!r} used at conflicting types")
-        elif isinstance(q, PCon):
-            for a in q.args:
-                go(a)
-        elif isinstance(q, PList):
-            for e in q.elems:
-                go(e)
+    def leave(q: Pattern, _, __) -> None:
+        if q.__class__ is PVar:
+            spec = ("var", q.type)
+        elif q.__class__ is PSeqVar:
+            spec = ("seq", q.elem_type)
+        else:
+            return
+        if out.setdefault(q.name, spec) != spec:
+            raise PatternStructureError(f"variable {q.name!r} used at conflicting types")
 
-    go(p)
+    fold(p, leave, _subpatterns)
     return out
 
 
 def pattern_has_wildcards(p: Pattern) -> bool:
-    if isinstance(p, (PWild, PSeqWild)):
-        return True
-    if isinstance(p, PCon):
-        return any(pattern_has_wildcards(a) for a in p.args)
-    if isinstance(p, PList):
-        return any(pattern_has_wildcards(e) for e in p.elems)
-    return False
+    return fold(p, lambda q, kids, _: q.__class__ in (PWild, PSeqWild) or any(kids), _subpatterns)
 
 
 # ---------------------------------------------------------------------------
@@ -246,68 +244,61 @@ def _match_seq(ps: tuple, i: int, ts: tuple, j: int, env: Env) -> Iterator[Env]:
 
 def instantiate(p: Pattern, env: Env) -> Term:
     """Splice env's bindings into p. p must be wildcard-free and closed under env."""
-    if isinstance(p, PLit):
-        return p.term
-    if isinstance(p, PVar):
-        if p.name not in env:
-            raise UnboundVariable(p.name)
-        v = env[p.name]
-        if isinstance(v, tuple):
-            raise TypeMismatch(p.name, "is a sequence but the variable binds one term")
-        if not types_compatible(p.type, term_root_type(v)):
-            raise TypeMismatch(p.name, f"has type {term_root_type(v)}, expected {p.type}")
+
+    def leave(q: Pattern, kids, path: list) -> Term | tuple:
+        c = q.__class__
+        if c is PLit:
+            return q.term
+        if c is PCon:
+            return Con(q.name, q.type, tuple(kids))
+        if c is PList:
+            out: list = []
+            for k in kids:  # a sequence variable gives a tuple of elements
+                if k.__class__ is tuple:
+                    out.extend(k)
+                else:
+                    out.append(k)
+            return ListTerm(tuple(out), q.elem_type)
+        if c is PWild or c is PSeqWild:
+            raise PatternStructureError("wildcards cannot be instantiated")
+        # A PSeqVar below the root is a list element: PCon admits no sequence pattern.
+        if c is not PVar and (c is not PSeqVar or not path):
+            raise PatternStructureError("sequence pattern used outside a list")
+        if q.name not in env:
+            raise UnboundVariable(q.name)
+        v = env[q.name]
+        if c is PVar:
+            if isinstance(v, tuple):
+                raise TypeMismatch(q.name, "is a sequence but the variable binds one term")
+            if not types_compatible(q.type, term_root_type(v)):
+                raise TypeMismatch(q.name, f"has type {term_root_type(v)}, expected {q.type}")
+            return v
+        if not isinstance(v, tuple):
+            raise TypeMismatch(q.name, "binds one term but the variable is a sequence")
+        for item in v:
+            if not types_compatible(q.elem_type, term_root_type(item)):
+                raise TypeMismatch(
+                    q.name, f"contains a {term_root_type(item)}, expected {q.elem_type}"
+                )
         return v
-    if isinstance(p, PCon):
-        return Con(p.name, p.type, tuple(instantiate(a, env) for a in p.args))
-    if isinstance(p, PList):
-        out: list = []
-        for e in p.elems:
-            if isinstance(e, PSeqVar):
-                if e.name not in env:
-                    raise UnboundVariable(e.name)
-                v = env[e.name]
-                if not isinstance(v, tuple):
-                    raise TypeMismatch(e.name, "binds one term but the variable is a sequence")
-                for item in v:
-                    if not types_compatible(e.elem_type, term_root_type(item)):
-                        raise TypeMismatch(
-                            e.name, f"contains a {term_root_type(item)}, expected {e.elem_type}"
-                        )
-                out.extend(v)
-            elif isinstance(e, (PWild, PSeqWild)):
-                raise PatternStructureError("wildcards cannot be instantiated")
-            else:
-                out.append(instantiate(e, env))
-        return ListTerm(tuple(out), p.elem_type)
-    if isinstance(p, (PWild, PSeqWild)):
-        raise PatternStructureError("wildcards cannot be instantiated")
-    raise PatternStructureError("sequence pattern used outside a list")
+
+    return fold(p, leave, _subpatterns)
 
 
 # ---------------------------------------------------------------------------
 # Traversals
 
 
-def _children(t: Term) -> tuple:
-    if isinstance(t, Con):
-        return t.args
-    if isinstance(t, ListTerm):
-        return t.elems
-    return ()
-
-
 def visit_collect(t: Term, p: Pattern) -> list:
     """Bottom-up, left-to-right: (path, first env) for every matching subtree."""
     hits: list = []
 
-    def walk(node: Term, path: tuple) -> None:
-        for i, child in enumerate(_children(node)):
-            walk(child, path + (i,))
+    def leave(node: Term, _, path: list) -> None:
         env = next(_match(p, node, {}), None)
         if env is not None:
-            hits.append((path, env))
+            hits.append((tuple(path), env))
 
-    walk(t, ())
+    fold(t, leave)
     return hits
 
 
@@ -331,13 +322,10 @@ def visit_rewrite(t: Term, rules: list) -> Term:
             raise IllTypedRule(f"rule sides have different types: {lhs_type} vs {rhs_type}")
         checked.append((lhs, rhs))
 
-    def rewrite(node: Term) -> Term:
-        kids = []
-        for kid in _children(node):  # a loop, not a generator expression: half the stack
-            kids.append(rewrite(kid))
-        if isinstance(node, Con):
+    def leave(node: Term, kids, _) -> Term:
+        if node.__class__ is Con:
             node = Con(node.name, node.type, tuple(kids))
-        elif isinstance(node, ListTerm):
+        elif node.__class__ is ListTerm:
             node = ListTerm(tuple(kids), node.elem_type)
         for lhs, rhs in checked:
             env = next(_match(lhs, node, {}), None)
@@ -345,51 +333,4 @@ def visit_rewrite(t: Term, rules: list) -> Term:
                 return instantiate(rhs, env)
         return node
 
-    return rewrite(t)
-
-
-# ---------------------------------------------------------------------------
-# Pattern type checking (mirrors check_term)
-
-
-def check_pattern(sig: Signature, p: Pattern, expected: ArgType) -> list:
-    """Well-typedness issues for a pattern, with variables at their declared types."""
-    issues: list = []
-
-    def go(q: Pattern, at: ArgType, path: tuple) -> None:
-        if isinstance(q, (PVar, PWild)):
-            if not types_compatible(q.type, at):
-                issues.append(TypeIssue(path, f"hole declared {q.type}, expected {at}"))
-        elif isinstance(q, PLit):
-            issues.extend(
-                TypeIssue(path + t.path, t.message) for t in check_term(sig, q.term, at)
-            )
-        elif isinstance(q, PCon):
-            if at.kind != "adt" or at.name != q.type:
-                issues.append(TypeIssue(path, f"constructor pattern of {q.type}, expected {at}"))
-                return
-            con = sig.find(q.type, q.name, len(q.args))
-            if con is None:
-                issues.append(
-                    TypeIssue(path, f"{q.type} declares no constructor {q.name}/{len(q.args)}")
-                )
-                return
-            for i, ((_, arg_type), sub) in enumerate(zip(con.args, q.args)):
-                go(sub, arg_type, path + (i,))
-        elif isinstance(q, PList):
-            if at.kind != "list" or at.elem != q.elem_type:
-                issues.append(TypeIssue(path, f"list pattern of {list_of(q.elem_type)}, expected {at}"))
-                return
-            for i, e in enumerate(q.elems):
-                if isinstance(e, (PSeqVar, PSeqWild)):
-                    if e.elem_type != at.elem:
-                        issues.append(
-                            TypeIssue(path + (i,), f"sequence hole of {e.elem_type}, expected {at.elem}")
-                        )
-                else:
-                    go(e, at.elem, path + (i,))
-        else:
-            issues.append(TypeIssue(path, "sequence pattern used outside a list"))
-
-    go(p, expected, ())
-    return issues
+    return fold(t, leave)

@@ -8,7 +8,9 @@ signature and the expected type, because the printed form drops type names.
 from __future__ import annotations
 
 import json
+import math
 import re
+from json.encoder import encode_basestring
 
 from .terms import (
     ArgType,
@@ -17,6 +19,7 @@ from .terms import (
     Prim,
     Signature,
     Term,
+    emit,
     format_real,
     just_,
     nothing_,
@@ -31,9 +34,7 @@ class PrettyTermError(Exception):
 
 
 def pretty_term(t: Term) -> str:
-    out: list = []
-    _render(t, out)
-    return "".join(out)
+    return emit(t, _render)
 
 
 def pretty_binding(value) -> str:
@@ -43,31 +44,19 @@ def pretty_binding(value) -> str:
     return pretty_term(value)
 
 
-def _render(t: Term, out: list) -> None:
-    if isinstance(t, Con):
-        out.append(t.name)
-        out.append("(")
-        for i, a in enumerate(t.args):
-            if i:
-                out.append(",")
-            _render(a, out)
-        out.append(")")
-    elif isinstance(t, Prim):
-        if t.kind == "int":
-            out.append(str(t.value))
-        elif t.kind == "real":
-            out.append(format_real(t.value))
-        elif t.kind == "bool":
-            out.append("true" if t.value else "false")
-        else:
-            out.append(json.dumps(t.value, ensure_ascii=False))
-    else:
-        out.append("[")
-        for i, e in enumerate(t.elems):
-            if i:
-                out.append(",")
-            _render(e, out)
-        out.append("]")
+def _render(t: Term):
+    c = t.__class__
+    if c is Con:
+        return t.name + "(", t.args, ")"
+    if c is ListTerm:
+        return "[", t.elems, "]"
+    if t.kind == "int":
+        return str(t.value)
+    if t.kind == "real":
+        return format_real(t.value)
+    if t.kind == "bool":
+        return "true" if t.value else "false"
+    return encode_basestring(t.value)
 
 
 _NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
@@ -155,7 +144,10 @@ class _Reader:
         if m.group(1) or m.group(2):
             if kind != "real":
                 self.fail(f"expected a {kind}, got a real")
-            return Prim("real", float(m.group()))
+            x = float(m.group())
+            if not math.isfinite(x):
+                raise PrettyTermError("number out of range", m.start())
+            return Prim("real", x)
         if kind != "int":
             self.fail(f"expected a {kind}, got an integer")
         return Prim("int", int(m.group()))

@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 PRIM_KINDS = ("int", "real", "bool", "str")
 
@@ -102,9 +103,44 @@ def maybe_of(elem: ArgType) -> ArgType:
 
 
 # Terms compare and hash structurally with == and hash(). Reals compare by bit
-# pattern, which for finite floats is value and sign. __eq__ goes field by field,
-# which takes less stack per level than a tuple compare. Con and ListTerm hash on
+# pattern, which for finite floats is value and sign. == walks an explicit stack
+# of pairs, so it takes no Python stack per level. Con and ListTerm hash on
 # first use, not at construction, which would slow every parse.
+def _equal(a: Term, b: Term) -> bool:
+    """a == b for terms: structural, with reals compared by bit pattern."""
+    pairs: list = []
+    x, y = a, b
+    while True:
+        if x is not y:
+            c = x.__class__
+            if c is not y.__class__:
+                return False
+            if c is Prim:
+                if x.kind != y.kind or x.value != y.value:
+                    return False
+                if x.kind == "real" and math.copysign(1.0, x.value) != math.copysign(1.0, y.value):
+                    return False
+            else:
+                if c is Con:
+                    if x.name != y.name or x.type != y.type:
+                        return False
+                    xs, ys = x.args, y.args
+                else:
+                    if x.elem_type != y.elem_type:
+                        return False
+                    xs, ys = x.elems, y.elems
+                n = len(xs)
+                if n != len(ys):
+                    return False
+                if n == 1:  # the common case: descend without the stack
+                    x, y = xs[0], ys[0]
+                    continue
+                pairs += zip(xs, ys)
+        if not pairs:
+            return True
+        x, y = pairs.pop()
+
+
 @dataclass(frozen=True, eq=False)
 class Con:
     """A constructor application, e.g. Con("number", "JSON", (Prim("real", 29.0),))."""
@@ -117,13 +153,7 @@ class Con:
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
 
-    def __eq__(self, other) -> bool:
-        return (
-            other.__class__ is Con
-            and self.name == other.name
-            and self.type == other.type
-            and self.args == other.args
-        )
+    __eq__ = _equal
 
     def __hash__(self) -> int:
         h = self._hash
@@ -154,13 +184,7 @@ class Prim:
         if self.kind == "real" and not math.isfinite(self.value):
             raise ValueError("real primitives must be finite")
 
-    def __eq__(self, other) -> bool:
-        return (
-            other.__class__ is Prim
-            and self.kind == other.kind
-            and self.value == other.value
-            and (self.kind != "real" or math.copysign(1.0, self.value) == math.copysign(1.0, other.value))
-        )
+    __eq__ = _equal
 
     def __hash__(self) -> int:
         return hash((self.kind, self.value))
@@ -177,12 +201,7 @@ class ListTerm:
     def __post_init__(self):
         object.__setattr__(self, "elems", tuple(self.elems))
 
-    def __eq__(self, other) -> bool:
-        return (
-            other.__class__ is ListTerm
-            and self.elem_type == other.elem_type
-            and self.elems == other.elems
-        )
+    __eq__ = _equal
 
     def __hash__(self) -> int:
         h = self._hash
@@ -212,6 +231,94 @@ def term_root_type(t: Term) -> ArgType:
     if isinstance(t, Prim):
         return prim(t.kind)
     return list_of(t.elem_type)
+
+
+# ---------------------------------------------------------------------------
+# Traversals
+#
+# Terms nest as deeply as the object-language parsers make them, so the walks
+# keep their own stacks and take no Python stack per level.
+
+
+def children(t: Term) -> tuple:
+    """The direct subterms of t, left to right."""
+    c = t.__class__
+    if c is Con:
+        return t.args
+    if c is ListTerm:
+        return t.elems
+    return ()
+
+
+def fold(t, leave, kids=children):
+    """Post-order fold: leave(node, its children's results, its path) gives node's result.
+
+    kids(node) lists the children to descend into. The path is the list of
+    child indices from t to node; the fold reuses it, so copy it to keep it.
+    Returns t's result.
+    """
+    path: list = []
+    frames = [(t, kids(t), [])]
+    while True:
+        node, ks, results = frames[-1]
+        i = len(results)
+        if not i:
+            path.append(0)  # the slot for the index of the child being visited
+        n = len(ks)
+        while i < n:
+            path[-1] = i
+            k = ks[i]
+            kk = kids(k)
+            if kk:
+                frames.append((k, kk, []))
+                break
+            results.append(leave(k, (), path))
+            i += 1
+        else:
+            frames.pop()
+            path.pop()
+            r = leave(node, results, path)
+            if not frames:
+                return r
+            frames[-1][2].append(r)
+
+
+def emit(t, step) -> str:
+    """Pre-order rendering: step(node) gives a leaf's text, or (opener, kids, closer).
+
+    The kids are rendered between opener and closer, separated by commas.
+    """
+    out: list = []
+    append = out.append
+    stack: list = []  # texts still to write and nodes still to render, the next one last
+    pop = stack.pop
+    node = t
+    while True:
+        r = step(node)
+        if r.__class__ is str:
+            append(r)
+        else:
+            opener, kids, closer = r
+            append(opener)
+            n = len(kids)
+            if n:
+                if n == 1:
+                    stack.append(closer)
+                else:
+                    block = [","] * (2 * n - 1)  # closer, then kids[-1], ",", ..., kids[1], ","
+                    block[0] = closer
+                    block[1::2] = kids[:0:-1]
+                    stack += block
+                node = kids[0]
+                continue
+            append(closer)
+        while stack:
+            node = pop()
+            if node.__class__ is not str:
+                break
+            append(node)
+        else:
+            return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,46 +409,55 @@ def _describe(t: Term) -> str:
 
 
 def check_term(sig: Signature, t: Term, expected: ArgType) -> list:
-    """Check t against expected; returns a list of TypeIssue (empty = well-typed)."""
+    """Check t against expected; returns a list of TypeIssue (empty = well-typed).
+
+    Issues are listed in pre-order.
+    """
     issues: list = []
 
-    def go(node: Term, at: ArgType, path: tuple) -> None:
-        if at.kind == "prim":
-            if not (isinstance(node, Prim) and node.kind == at.name):
-                issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
-        elif at.kind == "adt":
-            if not (isinstance(node, Con) and node.type == at.name):
-                issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
-                return
+    def report(link: tuple, message: str) -> None:
+        path: list = []
+        while link:  # (the parent's link, the child's index), or () at the root
+            link, i = link
+            path.append(i)
+        issues.append(TypeIssue(tuple(reversed(path)), message))
+
+    todo = [(t, expected, ())]
+    while todo:
+        node, at, link = todo.pop()
+        kind = at.kind
+        if kind == "prim":
+            if not (node.__class__ is Prim and node.kind == at.name):
+                report(link, f"expected {at}, got {_describe(node)}")
+        elif kind == "adt":
+            if not (node.__class__ is Con and node.type == at.name):
+                report(link, f"expected {at}, got {_describe(node)}")
+                continue
             con = sig.find(node.type, node.name, len(node.args))
             if con is None:
-                issues.append(
-                    TypeIssue(path, f"{at.name} declares no constructor {node.name}/{len(node.args)}")
-                )
-                return
-            for i, ((_, arg_type), sub) in enumerate(zip(con.args, node.args)):
-                go(sub, arg_type, path + (i,))
-        elif at.kind == "list":
-            if not isinstance(node, ListTerm):
-                issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
-                return
+                report(link, f"{at.name} declares no constructor {node.name}/{len(node.args)}")
+                continue
+            args = node.args
+            for i in range(len(args) - 1, -1, -1):
+                todo.append((args[i], con.args[i][1], (link, i)))
+        elif kind == "list":
+            if node.__class__ is not ListTerm:
+                report(link, f"expected {at}, got {_describe(node)}")
+                continue
             if node.elem_type != at.elem:
-                issues.append(
-                    TypeIssue(path, f"list element type {node.elem_type} does not match {at.elem}")
-                )
-                return
-            for i, e in enumerate(node.elems):
-                go(e, at.elem, path + (i,))
+                report(link, f"list element type {node.elem_type} does not match {at.elem}")
+                continue
+            elems = node.elems
+            for i in range(len(elems) - 1, -1, -1):
+                todo.append((elems[i], at.elem, (link, i)))
         else:  # maybe
-            if isinstance(node, Con) and node.type == MAYBE_TYPE:
+            if node.__class__ is Con and node.type == MAYBE_TYPE:
                 if node.name == "nothing" and not node.args:
-                    return
+                    continue
                 if node.name == "just" and len(node.args) == 1:
-                    go(node.args[0], at.elem, path + (0,))
-                    return
-            issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
-
-    go(t, expected, ())
+                    todo.append((node.args[0], at.elem, (link, 0)))
+                    continue
+            report(link, f"expected {at}, got {_describe(node)}")
     return issues
 
 
@@ -364,35 +480,23 @@ def format_real(x: float) -> str:
 
 def encode_term(t: Term) -> str:
     """Deterministic canonical encoding: fixed key order, canonical numbers."""
-    out: list = []
-    _enc(t, out)
-    return "".join(out)
+    return emit(t, _enc)
 
 
-def _enc(t: Term, out: list) -> None:
-    if isinstance(t, Con):
-        out.append('{"con":' + json.dumps(t.name) + ',"type":' + json.dumps(t.type) + ',"args":[')
-        for i, a in enumerate(t.args):
-            if i:
-                out.append(",")
-            _enc(a, out)
-        out.append("]}")
-    elif isinstance(t, Prim):
-        if t.kind == "int":
-            out.append('{"int":%d}' % t.value)
-        elif t.kind == "real":
-            out.append('{"real":' + format_real(t.value) + "}")
-        elif t.kind == "bool":
-            out.append('{"bool":true}' if t.value else '{"bool":false}')
-        else:
-            out.append('{"str":' + json.dumps(t.value, ensure_ascii=False) + "}")
-    else:
-        out.append('{"list":[')
-        for i, e in enumerate(t.elems):
-            if i:
-                out.append(",")
-            _enc(e, out)
-        out.append('],"elem":' + encode_argtype(t.elem_type) + "}")
+def _enc(t: Term):
+    c = t.__class__
+    if c is Con:
+        name, ty = encode_basestring_ascii(t.name), encode_basestring_ascii(t.type)
+        return '{"con":' + name + ',"type":' + ty + ',"args":[', t.args, "]}"
+    if c is ListTerm:
+        return '{"list":[', t.elems, '],"elem":' + encode_argtype(t.elem_type) + "}"
+    if t.kind == "int":
+        return '{"int":%d}' % t.value
+    if t.kind == "real":
+        return '{"real":' + format_real(t.value) + "}"
+    if t.kind == "bool":
+        return '{"bool":true}' if t.value else '{"bool":false}'
+    return '{"str":' + encode_basestring(t.value) + "}"
 
 
 def encode_argtype(at: ArgType) -> str:
@@ -408,10 +512,11 @@ def encode_argtype(at: ArgType) -> str:
 def decode_term(text: str) -> Term:
     """Inverse of encode_term; accepts any wire-grammar conforming JSON text."""
     try:
-        data = json.loads(text)
+        return term_from_wire(json.loads(text))
     except json.JSONDecodeError as e:
         raise TermDecodeError(e.msg, e.lineno, e.colno) from None
-    return term_from_wire(data)
+    except RecursionError:
+        raise TermDecodeError("input nests too deeply") from None
 
 
 def term_from_wire(obj, path: str = "$") -> Term:
@@ -486,7 +591,6 @@ _SIG_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[=|(),;\[\]]|::|\S")
 
 class _SigTokens:
     def __init__(self, text: str):
-        self.text = text
         self.toks: list = []  # (value, line, col)
         line, col = 1, 1
         i = 0
@@ -563,10 +667,7 @@ def parse_signature(text: str) -> Signature:
                 continue
             break
         toks.next(";")
-    try:
-        return Signature(frozenset(types), tuple(cons))
-    except SignatureError:
-        raise
+    return Signature(frozenset(types), tuple(cons))
 
 
 def _parse_ctor(toks: _SigTokens, type_name: str) -> Constructor:

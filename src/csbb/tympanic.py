@@ -46,6 +46,7 @@ from .terms import (
     Term,
     adt,
     check_term,
+    fold,
     just_,
     list_of,
     maybe_of,
@@ -259,13 +260,19 @@ def _ref_from_doc(doc) -> Ref:
     raise SchemaError(f"malformed foreign type reference {doc!r}")
 
 
+def _json_doc(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{what} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError(f"{what} nests too deeply") from None
+
+
 def load_schema(doc) -> ForeignSchema:
     """Build a schema from its JSON document form (a dict or JSON text)."""
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"schema is not valid JSON: {e}") from None
+        doc = _json_doc(doc, "schema")
     if not isinstance(doc, dict) or not isinstance(doc.get("types"), list):
         raise SchemaError("schema document lacks a types list")
     types: dict = {}
@@ -339,49 +346,27 @@ ForeignValue = FObj | FEnum | FInt | FBool | FStr | FReal | FArr | None
 def load_foreign_value(doc) -> ForeignValue:
     """Build a foreign value from its JSON document form (a dict or JSON text)."""
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"foreign value is not valid JSON: {e}") from None
+        doc = _json_doc(doc, "foreign value")
     return _fvalue(doc)
 
 
-_ARRAY = object()  # the tag of an open array on _fvalue's stack
-
-
 def _fvalue(doc) -> ForeignValue:
-    # An object or array waits on the stack while its children are read in
-    # document order, so nesting takes no Python stack.
-    value = _fnode(doc)
-    if value.__class__ is not list:
-        return value
-    stack = [value]  # of [tag or _ARRAY, (key, child) iterator, values read, key in parent]
-    while True:
-        top = stack[-1]
-        tag, out = top[0], top[2]
-        for key, child in top[1]:
-            value = _fnode(child)
-            if value.__class__ is list:
-                value[3] = key
-                stack.append(value)
-                break
-            if tag is _ARRAY:
-                out.append(value)
-            else:
-                out[key] = value
-        else:
-            stack.pop()
-            value = FArr(tuple(out)) if tag is _ARRAY else FObj(tag, out)
-            if not stack:
-                return value
-            if stack[-1][0] is _ARRAY:
-                stack[-1][2].append(value)
-            else:
-                stack[-1][2][top[3]] = value
+    # Values are checked and converted in document order: a leaf's _fleave
+    # follows its _fkids at once. Nesting takes no Python stack.
+    return fold(doc, _fleave, _fkids)
 
 
-def _fnode(doc):
-    """A leaf value, or an opened object or array as a new _fvalue stack entry."""
+def _fkids(doc) -> list:
+    """The field values of an object, or the elements of an array; nothing for a leaf."""
+    if isinstance(doc, dict):
+        if len(doc) == 2 and "type" in doc and "fields" in doc:
+            return [value for _, value in doc["fields"].items()]
+        if len(doc) == 1 and "array" in doc:
+            return list(doc["array"])
+    return []
+
+
+def _fleave(doc, values, _) -> ForeignValue:
     if doc is None:
         return None
     if not isinstance(doc, dict):
@@ -404,9 +389,9 @@ def _fnode(doc):
         if key == "real":
             return FReal(float(val))
         if key == "array":
-            return [_ARRAY, enumerate(val), [], None]
+            return FArr(tuple(values))
     elif len(doc) == 2 and "type" in doc and "fields" in doc:
-        return [doc["type"], iter(doc["fields"].items()), {}, None]
+        return FObj(doc["type"], dict(zip(doc["fields"], values)))
     raise SchemaError(f"unrecognized foreign value with keys {sorted(doc)}")
 
 

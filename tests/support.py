@@ -19,7 +19,7 @@ from csbb.concrete import (
     TextChunk,
     UnterminatedHole,
 )
-from csbb.jsonlang import array, boolean, null_, number, obj, prop, string
+from csbb.jsonlang import JSON_SIGNATURE, array, boolean, null_, number, obj, prop, string
 from csbb.patterns import (
     IllTypedRule,
     MatchTypeError,
@@ -31,6 +31,8 @@ from csbb.patterns import (
     PSeqWild,
     PVar,
     PWild,
+    TypeMismatch,
+    UnboundVariable,
     instantiate,
     match_first,
     pattern_has_wildcards,
@@ -39,14 +41,19 @@ from csbb.patterns import (
     types_compatible,
 )
 from csbb.terms import (
+    MAYBE_TYPE,
     Con,
     Constructor,
     ListTerm,
     Prim,
     Signature,
+    TypeIssue,
+    _describe,
     adt,
     check_term,
+    encode_argtype,
     encode_term,
+    format_real,
     just_,
     nothing_,
     render_signature,
@@ -572,6 +579,24 @@ def brute_list_envs(pelems, telems) -> list:
     return out
 
 
+def binary_chain_text(links: int) -> str:
+    """JSON text of a left-nested chain of PLUS Binary nodes, two JSON levels per link.
+
+    Built as text: json.dumps recurses once per level.
+    """
+    head = '{"type": "Binary", "fields": {"getOp": {"enum": "Op.PLUS"}, "getLhs": '
+    tail = ', "getRhs": ' + json.dumps(fobj("Lit", getValue={"int": 1})) + "}}"
+    return head * links + json.dumps(fobj("Lit", getValue={"int": 0})) + tail * links
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
 def all_subtrees(t) -> list:
     """(path, subterm) pairs in bottom-up, left-to-right order."""
     out = []
@@ -897,3 +922,249 @@ def marshal_oracle(spec, schema, value):
     if issues:  # the rules above should make this impossible
         raise MarshalError(f"marshalled term is ill-typed: {issues[0]}", ())
     return result
+
+
+# ---------------------------------------------------------------------------
+# The recursive walkers as they were before terms and patterns shared one
+# explicit-stack fold and one emitter. print_json_oracle checks with
+# check_term_oracle, and quotes strings with the old _quote.
+
+
+def check_term_oracle(sig: Signature, t: Term, expected: ArgType) -> list:
+    """Check t against expected; returns a list of TypeIssue (empty = well-typed)."""
+    issues: list = []
+
+    def go(node: Term, at: ArgType, path: tuple) -> None:
+        if at.kind == "prim":
+            if not (isinstance(node, Prim) and node.kind == at.name):
+                issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
+        elif at.kind == "adt":
+            if not (isinstance(node, Con) and node.type == at.name):
+                issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
+                return
+            con = sig.find(node.type, node.name, len(node.args))
+            if con is None:
+                issues.append(
+                    TypeIssue(path, f"{at.name} declares no constructor {node.name}/{len(node.args)}")
+                )
+                return
+            for i, ((_, arg_type), sub) in enumerate(zip(con.args, node.args)):
+                go(sub, arg_type, path + (i,))
+        elif at.kind == "list":
+            if not isinstance(node, ListTerm):
+                issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
+                return
+            if node.elem_type != at.elem:
+                issues.append(
+                    TypeIssue(path, f"list element type {node.elem_type} does not match {at.elem}")
+                )
+                return
+            for i, e in enumerate(node.elems):
+                go(e, at.elem, path + (i,))
+        else:  # maybe
+            if isinstance(node, Con) and node.type == MAYBE_TYPE:
+                if node.name == "nothing" and not node.args:
+                    return
+                if node.name == "just" and len(node.args) == 1:
+                    go(node.args[0], at.elem, path + (0,))
+                    return
+            issues.append(TypeIssue(path, f"expected {at}, got {_describe(node)}"))
+
+    go(t, expected, ())
+    return issues
+
+
+def encode_term_oracle(t: Term) -> str:
+    """Deterministic canonical encoding: fixed key order, canonical numbers."""
+    out: list = []
+    _enc_oracle(t, out)
+    return "".join(out)
+
+
+def _enc_oracle(t: Term, out: list) -> None:
+    if isinstance(t, Con):
+        out.append('{"con":' + json.dumps(t.name) + ',"type":' + json.dumps(t.type) + ',"args":[')
+        for i, a in enumerate(t.args):
+            if i:
+                out.append(",")
+            _enc_oracle(a, out)
+        out.append("]}")
+    elif isinstance(t, Prim):
+        if t.kind == "int":
+            out.append('{"int":%d}' % t.value)
+        elif t.kind == "real":
+            out.append('{"real":' + format_real(t.value) + "}")
+        elif t.kind == "bool":
+            out.append('{"bool":true}' if t.value else '{"bool":false}')
+        else:
+            out.append('{"str":' + json.dumps(t.value, ensure_ascii=False) + "}")
+    else:
+        out.append('{"list":[')
+        for i, e in enumerate(t.elems):
+            if i:
+                out.append(",")
+            _enc_oracle(e, out)
+        out.append('],"elem":' + encode_argtype(t.elem_type) + "}")
+
+
+def pretty_term_oracle(t: Term) -> str:
+    out: list = []
+    _render_oracle(t, out)
+    return "".join(out)
+def _render_oracle(t: Term, out: list) -> None:
+    if isinstance(t, Con):
+        out.append(t.name)
+        out.append("(")
+        for i, a in enumerate(t.args):
+            if i:
+                out.append(",")
+            _render_oracle(a, out)
+        out.append(")")
+    elif isinstance(t, Prim):
+        if t.kind == "int":
+            out.append(str(t.value))
+        elif t.kind == "real":
+            out.append(format_real(t.value))
+        elif t.kind == "bool":
+            out.append("true" if t.value else "false")
+        else:
+            out.append(json.dumps(t.value, ensure_ascii=False))
+    else:
+        out.append("[")
+        for i, e in enumerate(t.elems):
+            if i:
+                out.append(",")
+            _render_oracle(e, out)
+        out.append("]")
+
+
+def print_json_oracle(t: Term) -> str:
+    """Canonical rendering: quoted keys, no insignificant whitespace.
+
+    parse_json(print_json(t)) == t for every term well-typed at JSON;
+    parse_prop inverts it for Prop terms.
+    """
+    root = "Prop" if isinstance(t, Con) and t.type == "Prop" else "JSON"
+    issues = check_term_oracle(JSON_SIGNATURE, t, adt(root))
+    if issues:
+        raise ValueError(f"not a well-typed {root} term: {issues[0]}")
+    out: list = []
+    _print_oracle(t, out)
+    return "".join(out)
+
+
+def _print_oracle(t: Term, out: list) -> None:
+    if t.name == "null":
+        out.append("null")
+    elif t.name == "boolean":
+        out.append("true" if t.args[0].value else "false")
+    elif t.name == "number":
+        out.append(format_real(t.args[0].value))
+    elif t.name == "string":
+        out.append(_quote_oracle(t.args[0].value))
+    elif t.name == "array":
+        out.append("[")
+        for i, e in enumerate(t.args[0].elems):
+            if i:
+                out.append(",")
+            _print_oracle(e, out)
+        out.append("]")
+    elif t.name == "object":
+        out.append("{")
+        for i, p in enumerate(t.args[0].elems):
+            if i:
+                out.append(",")
+            _print_oracle(p, out)
+        out.append("}")
+    else:  # prop
+        out.append(_quote_oracle(t.args[0].args[0].value))
+        out.append(":")
+        _print_oracle(t.args[1], out)
+
+
+_QUOTE_MAP_ORACLE = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _quote_oracle(s: str) -> str:
+    out = ['"']
+    for ch in s:
+        if ch in _QUOTE_MAP_ORACLE:
+            out.append(_QUOTE_MAP_ORACLE[ch])
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def pattern_vars_oracle(p: Pattern) -> dict:
+    """Map variable name -> ("var" | "seq", declared ArgType). Wildcards are skipped."""
+    out: dict = {}
+
+    def go(q: Pattern) -> None:
+        if isinstance(q, PVar):
+            if out.setdefault(q.name, ("var", q.type)) != ("var", q.type):
+                raise PatternStructureError(f"variable {q.name!r} used at conflicting types")
+        elif isinstance(q, PSeqVar):
+            if out.setdefault(q.name, ("seq", q.elem_type)) != ("seq", q.elem_type):
+                raise PatternStructureError(f"variable {q.name!r} used at conflicting types")
+        elif isinstance(q, PCon):
+            for a in q.args:
+                go(a)
+        elif isinstance(q, PList):
+            for e in q.elems:
+                go(e)
+
+    go(p)
+    return out
+
+
+def pattern_has_wildcards_oracle(p: Pattern) -> bool:
+    if isinstance(p, (PWild, PSeqWild)):
+        return True
+    if isinstance(p, PCon):
+        return any(pattern_has_wildcards_oracle(a) for a in p.args)
+    if isinstance(p, PList):
+        return any(pattern_has_wildcards_oracle(e) for e in p.elems)
+    return False
+
+
+def instantiate_oracle(p: Pattern, env: Env) -> Term:
+    """Splice env's bindings into p. p must be wildcard-free and closed under env."""
+    if isinstance(p, PLit):
+        return p.term
+    if isinstance(p, PVar):
+        if p.name not in env:
+            raise UnboundVariable(p.name)
+        v = env[p.name]
+        if isinstance(v, tuple):
+            raise TypeMismatch(p.name, "is a sequence but the variable binds one term")
+        if not types_compatible(p.type, term_root_type(v)):
+            raise TypeMismatch(p.name, f"has type {term_root_type(v)}, expected {p.type}")
+        return v
+    if isinstance(p, PCon):
+        return Con(p.name, p.type, tuple(instantiate_oracle(a, env) for a in p.args))
+    if isinstance(p, PList):
+        out: list = []
+        for e in p.elems:
+            if isinstance(e, PSeqVar):
+                if e.name not in env:
+                    raise UnboundVariable(e.name)
+                v = env[e.name]
+                if not isinstance(v, tuple):
+                    raise TypeMismatch(e.name, "binds one term but the variable is a sequence")
+                for item in v:
+                    if not types_compatible(e.elem_type, term_root_type(item)):
+                        raise TypeMismatch(
+                            e.name, f"contains a {term_root_type(item)}, expected {e.elem_type}"
+                        )
+                out.extend(v)
+            elif isinstance(e, (PWild, PSeqWild)):
+                raise PatternStructureError("wildcards cannot be instantiated")
+            else:
+                out.append(instantiate_oracle(e, env))
+        return ListTerm(tuple(out), p.elem_type)
+    if isinstance(p, (PWild, PSeqWild)):
+        raise PatternStructureError("wildcards cannot be instantiated")
+    raise PatternStructureError("sequence pattern used outside a list")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from support import EXPR_MAPPING, EXPR_MODULE, EXPR_SCHEMA, fobj, tokens
+from support import EXPR_MAPPING, EXPR_MODULE, EXPR_SCHEMA, binary_chain_text, fobj, tokens
 from csbb.cli import main
 
 RODIN_TEXT = '{name:"Rodin",age:29}'
@@ -48,6 +48,14 @@ def test_parse_number(capsys):
 def test_parse_malformed_input(capsys):
     code, out, err = run(capsys, "parse", "--lang", "JSON", "--text", "{a:")
     assert code == 2 and out == "" and "col" in err
+
+
+@pytest.mark.parametrize("text, error", [
+    ("1E400", "col 1: number out of range"), ('"\\ud800"', "col 2: lone surrogate escape"),
+])
+def test_parse_unrepresentable_input_exits_2(capsys, text, error):
+    code, out, err = run(capsys, "parse", "--lang", "JSON", "--text", text, "--out", "term")
+    assert code == 2 and out == "" and error in err
 
 
 def test_parse_wire_output(capsys):
@@ -279,6 +287,16 @@ def test_tympanic_marshal(capsys, expr_fixture, tmp_path):
         capsys, "tympanic", "marshal", "--spec", spec, "--schema", schema, "--value", str(value)
     )
     assert code == 0 and out == "ifThen(boolean(true),integer(1))\n"
+
+
+def test_tympanic_marshal_over_deep_value_exits_2(capsys, expr_fixture, tmp_path):
+    value = tmp_path / "chain.fv"
+    value.write_text(binary_chain_text(600))
+    spec, schema = expr_fixture
+    code, out, err = run(
+        capsys, "tympanic", "marshal", "--spec", spec, "--schema", schema, "--value", str(value)
+    )
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "nests too deeply" in err
 
 
 def test_tympanic_marshal_no_rule_exits_6(capsys, expr_fixture, tmp_path):

@@ -513,6 +513,41 @@ def test_subprocess_never_reads_a_stale_reply(tmp_path, garbage):
         adapter.close()
 
 
+def test_subprocess_over_deep_reply_discards_the_child(tmp_path, monkeypatch):
+    # The child answers "deep" with a line nested beyond what json.loads reads,
+    # and everything else with a string term.
+    spawns = tmp_path / "spawns"
+    child = tmp_path / "deep_parser.py"
+    child.write_text(
+        "import json, os, sys\n"
+        f"open({str(spawns)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+        "for line in sys.stdin:\n"
+        "    text = json.loads(line)['text']\n"
+        "    if text == 'deep':\n"
+        "        print('{\"ok\": true, \"term\": ' + '[' * 100000 + ']' * 100000 + '}', flush=True)\n"
+        "    else:\n"
+        "        print(json.dumps({'ok': True, 'term': {'str': text}}), flush=True)\n"
+    )
+    decode = concrete.term_from_wire
+
+    def over_deep_wire(obj):  # stands in for a term too deep to decode
+        if obj == {"str": "wire"}:
+            raise RecursionError("maximum recursion depth exceeded")
+        return decode(obj)
+
+    monkeypatch.setattr(concrete, "term_from_wire", over_deep_wire)
+    adapter = SubprocessParser([sys.executable, str(child)])
+    try:
+        with pytest.raises(ProtocolError, match="malformed response line"):
+            adapter.parse("Stm", "deep")
+        with pytest.raises(ProtocolError, match="undecodable term"):
+            adapter.parse("Stm", "wire")
+        assert adapter.parse("Stm", "fine") == Prim("str", "fine")
+        assert len(spawns.read_text().split()) == 3
+    finally:
+        adapter.close()
+
+
 def test_subprocess_close_releases_both_pipes():
     adapter = SubprocessParser([sys.executable, "-m", "csbb.exprlang"])
     adapter.parse("Expr", "1 + 2")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from support import gen_json_term, term_equals
+from support import gen_json_term, outcome, print_json_oracle, term_equals
 from csbb.jsonlang import (
     JSON_SIGNATURE,
     JsonSyntaxError,
@@ -63,6 +63,24 @@ def test_string_escapes_normalize_to_code_points():
 def test_surrogate_pairs_combine():
     t = parse_json(r'"😀"')
     assert t.args[0].value == "\U0001f600"
+
+
+@pytest.mark.parametrize("text, col", [
+    ("1E400", 1), ("-1e309", 1), ("[0, 2.5e999]", 5), ('{"k":\n 1e400}', 2),
+])
+def test_out_of_range_number_is_a_syntax_error(text, col):
+    with pytest.raises(JsonSyntaxError) as exc:
+        parse_json(text)
+    assert (exc.value.message, exc.value.col) == ("number out of range", col)
+
+
+@pytest.mark.parametrize("text, col", [
+    (r'"\ud800"', 2), (r'"ab\ud83d x"', 4), (r'"\udc00"', 2), (r'"\ude00\ud83d"', 2), (r'["", "\udfff"]', 7),
+])
+def test_lone_surrogate_escape_is_a_syntax_error(text, col):
+    with pytest.raises(JsonSyntaxError) as exc:
+        parse_json(text)
+    assert (exc.value.message, exc.value.col) == ("lone surrogate escape", col)
 
 
 def test_syntax_error_carries_line_and_column():
@@ -157,6 +175,18 @@ def test_print_quotes_keys_and_escapes_strings():
 def test_print_rejects_ill_typed_terms():
     with pytest.raises(ValueError):
         print_json(Con("number", "JSON", (Prim("str", "x"),)))
+
+
+def test_print_json_agrees_with_the_oracle():
+    rng = random.Random(71)
+    for _ in range(600):
+        t = gen_json_term(rng, 3)
+        if rng.random() < 0.3:
+            t = prop("k", t)
+        if rng.random() < 0.2:  # ill-typed: a Prop where JSON belongs, or a bad payload
+            t = rng.choice([array([t, prop("k", t)]), obj([prop("k", string("s")), t]),
+                            Con("number", "JSON", (Prim("int", 1),)), Con("string", "JSON", ())])
+        assert outcome(print_json, t) == outcome(print_json_oracle, t)
 
 
 def test_print_parse_roundtrip_1000():

@@ -14,14 +14,17 @@ from support import (
     enumerate_list_patterns,
     envs_multiset,
     gen_json_term,
+    instantiate_oracle,
     match_oracle,
+    outcome,
+    pattern_has_wildcards_oracle,
+    pattern_vars_oracle,
     replace_at,
     term_equals,
     visit_collect_oracle,
     visit_rewrite_oracle,
 )
 from csbb.jsonlang import (
-    JSON_SIGNATURE,
     array,
     boolean,
     ident,
@@ -44,10 +47,11 @@ from csbb.patterns import (
     PWild,
     TypeMismatch,
     UnboundVariable,
-    check_pattern,
     instantiate,
     match,
     match_first,
+    pattern_has_wildcards,
+    pattern_vars,
     types_compatible,
     visit_collect,
     visit_rewrite,
@@ -416,6 +420,48 @@ def test_rewrite_agrees_with_the_oracle():
         assert visit_rewrite(t, rules) == visit_rewrite_oracle(t, rules)
 
 
+def _spoil(rng, env: dict) -> dict:
+    """env, or a copy with one binding dropped or replaced by one of the wrong shape or type."""
+    if not env or rng.random() < 0.3:
+        return env
+    env = dict(env)
+    name = rng.choice(list(env))
+    env[name] = rng.choice([
+        None,  # dropped below
+        ident("k"),  # a Prop: mistyped for a JSON hole, and not a sequence
+        (number(1.0),),  # a sequence, for a variable that binds one term
+        (number(1.0), prop("k", null_())),  # a sequence with a mistyped element
+    ])
+    if env[name] is None:
+        del env[name]
+    return env
+
+
+def test_instantiate_and_pattern_vars_agree_with_the_oracles():
+    rng = random.Random(73)
+    kinds = Counter()
+    for _ in range(600):
+        t = _subject(rng)
+        lhs, rhs = _holey_pattern(rng, t)
+        env = _spoil(rng, next(match(lhs, t), {}))
+        name = rng.choice(["0:JSON", "1:JSON", "0*:JSON", "0:Prop", "x"])
+        patterns = [
+            lhs,
+            rhs,
+            PCon("pair", "T", (PVar(name, adt("Id")), rhs)),  # often a name at two types
+            PList((PSeqVar(name, adt("JSON")), rhs), adt("JSON")),
+            rng.choice([PSeqVar(name, adt("JSON")), PSeqWild(adt("JSON"))]),  # outside a list
+        ]
+        for p in patterns:
+            got = outcome(instantiate, p, env)
+            assert got == outcome(instantiate_oracle, p, env)
+            kinds[got[0] if isinstance(got, tuple) else "term"] += 1
+            ordered = outcome(lambda q: list(pattern_vars(q).items()), p)
+            assert ordered == outcome(lambda q: list(pattern_vars_oracle(q).items()), p)
+            assert pattern_has_wildcards(p) == pattern_has_wildcards_oracle(p)
+    assert len(kinds) == 4 and min(kinds.values()) > 100, kinds
+
+
 # ---------------------------------------------------------------------------
 # visit_collect
 
@@ -511,17 +557,7 @@ def test_rewrite_rejects_type_changing_rule():
 
 
 # ---------------------------------------------------------------------------
-# check_pattern and pattern equality
-
-
-def test_check_pattern_accepts_hand_built_pattern():
-    assert check_pattern(JSON_SIGNATURE, NAME_PROP_PATTERN, adt("JSON")) == []
-
-
-def test_check_pattern_flags_misdeclared_hole():
-    p = PCon("number", "JSON", (PVar("n", prim("int")),))
-    issues = check_pattern(JSON_SIGNATURE, p, adt("JSON"))
-    assert len(issues) == 1 and issues[0].path == (0,)
+# pattern equality
 
 
 def test_pattern_equals_distinguishes_wildcards_from_vars():

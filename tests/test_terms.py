@@ -1,10 +1,21 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from support import all_subtrees, brute_well_typed, gen_json_term, replace_at, term_equals
+from support import (
+    all_subtrees,
+    brute_well_typed,
+    check_term_oracle,
+    encode_term_oracle,
+    gen_json_term,
+    gen_real,
+    pretty_term_oracle,
+    replace_at,
+    term_equals,
+)
 from csbb.jsonlang import (
     JSON_SIGNATURE,
     boolean,
@@ -16,6 +27,7 @@ from csbb.jsonlang import (
     prop,
     string,
 )
+from csbb.pretty import PrettyTermError, parse_pretty_term, pretty_term
 from csbb.terms import (
     Con,
     Constructor,
@@ -164,6 +176,66 @@ def _corrupt(rng, t):
     return Con("mystery", "JSON", ())
 
 
+WALK_SIG = parse_signature("""
+data T = leaf(int n) | pair(T l, T r) | many(list[T] ts, Maybe[T] extra)
+       | grid(list[list[real]] rows) | flag(bool b, str s) | unit();
+""")
+
+
+def _gen_t(rng, depth: int):
+    """A well-typed T term of WALK_SIG."""
+    k = rng.randrange(6 if depth > 0 else 4)
+    if k == 0:
+        return Con("leaf", "T", (Prim("int", rng.randint(-9, 9)),))
+    if k == 1:
+        return Con("flag", "T", (Prim("bool", rng.random() < 0.5), Prim("str", rng.choice(["", "a", "é\n"]))))
+    if k == 2:
+        return Con("unit", "T", ())
+    if k == 3:
+        rows = [ListTerm([Prim("real", gen_real(rng)) for _ in range(rng.randint(0, 2))], prim("real"))
+                for _ in range(rng.randint(0, 2))]
+        return Con("grid", "T", (ListTerm(rows, list_of(prim("real"))),))
+    if k == 4:
+        return Con("pair", "T", (_gen_t(rng, depth - 1), _gen_t(rng, depth - 1)))
+    ts = ListTerm([_gen_t(rng, depth - 1) for _ in range(rng.randint(0, 3))], adt("T"))
+    extra = rng.choice([Con("nothing", "Maybe", ()), Con("just", "Maybe", (_gen_t(rng, depth - 1),))])
+    return Con("many", "T", (ts, extra))
+
+
+def _mutate(rng, t):
+    """t with one subterm replaced by something often ill-typed in that place."""
+    subterms = all_subtrees(t)
+    path, old = rng.choice(subterms[:-1] or subterms)  # the root comes last
+    new = rng.choice([
+        Prim("int", 1), Prim("real", -0.0), Prim("str", "x"), Prim("bool", False),
+        Con("leaf", "T", ()), Con("mystery", "T", (old,)), Con("nothing", "Maybe", ()),
+        Con("just", "Maybe", (old, old)), Con("just", "Maybe", (old,)),
+        ListTerm((old,), prim("int")), ListTerm((), adt("T")),
+        rng.choice(subterms)[1],
+    ])
+    return replace_at(t, path, new)
+
+
+def test_check_encode_and_pretty_agree_with_the_oracles():
+    rng = random.Random(61)
+    issue_counts = Counter()
+    for n in range(900):
+        if n % 3:
+            t, sig, root = _gen_t(rng, 4), WALK_SIG, adt("T")
+            for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
+                t = _mutate(rng, t)
+        else:
+            t, sig, root = gen_json_term(rng, 3), JSON_SIGNATURE, adt("JSON")
+            if rng.random() < 0.5:
+                t = _corrupt(rng, t)
+        for at in (root, maybe_of(root), list_of(root), prim("int"), list_of(list_of(prim("real")))):
+            assert check_term(sig, t, at) == check_term_oracle(sig, t, at)
+        issue_counts[min(len(check_term(sig, t, root)), 2)] += 1
+        assert encode_term(t) == encode_term_oracle(t)
+        assert pretty_term(t) == pretty_term_oracle(t)
+    assert min(issue_counts.values()) > 100, issue_counts
+
+
 # ---------------------------------------------------------------------------
 # Structural equality: == and hash
 
@@ -284,6 +356,21 @@ def test_decode_reports_position_for_malformed_json():
     with pytest.raises(TermDecodeError) as exc:
         decode_term('{"con": "x",\n "type": }')
     assert exc.value.line == 2
+
+
+def test_decode_reports_over_deep_input():
+    t = number(0.0)
+    for _ in range(600):
+        t = Con("just", "Maybe", (t,))
+    with pytest.raises(TermDecodeError, match="nests too deeply"):
+        decode_term(encode_term(t))
+
+
+def test_pretty_reader_rejects_out_of_range_reals():
+    for text, offset in (("number(1e400)", 7), ("array([number(0.5), number(-1E309)])", 27)):
+        with pytest.raises(PrettyTermError) as exc:
+            parse_pretty_term(JSON_SIGNATURE, text, adt("JSON"))
+        assert (exc.value.message, exc.value.offset) == ("number out of range", offset)
 
 
 def test_decode_rejects_wrong_shapes():

@@ -7,7 +7,16 @@ import sys
 
 import pytest
 
-from support import EXPR_MAPPING, EXPR_MODULE, EXPR_SCHEMA, INLINE_ENUM_MAPPING, fobj, term_equals, tokens
+from support import (
+    EXPR_MAPPING,
+    EXPR_MODULE,
+    EXPR_SCHEMA,
+    INLINE_ENUM_MAPPING,
+    binary_chain_text,
+    fobj,
+    term_equals,
+    tokens,
+)
 from csbb.terms import Con, Prim, adt, check_term, just_, list_of, maybe_of, nothing_, prim
 from csbb.tympanic import (
     ArityMismatch,
@@ -806,7 +815,7 @@ def _chain(rng, links: int) -> dict:
 _CTOR_OF = {"PLUS": "add", "TIMES": "mul", "MINUS": "sub", "SLASH": "div"}
 
 
-@pytest.mark.parametrize("links", [400, 700])
+@pytest.mark.parametrize("links", [400, 700, 10_000])
 def test_deep_chain_loads_and_marshals(spec, schema, links):
     doc = _chain(random.Random(links), links)
     limit = sys.getrecursionlimit()
@@ -833,6 +842,13 @@ def test_very_deep_chain_loads():
         assert v.tag == "Binary" and v.fields["getOp"].const == doc["fields"]["getOp"]["enum"][3:]
         v, doc = v.fields["getLhs"], doc["fields"]["getLhs"]
     assert v.tag == "Lit" and v.fields["getValue"].value == doc["fields"]["getValue"]["int"]
+
+
+def test_over_deep_text_is_a_schema_error():
+    with pytest.raises(SchemaError, match="foreign value nests too deeply"):
+        load_foreign_value(binary_chain_text(600))
+    with pytest.raises(SchemaError, match="schema nests too deeply"):
+        load_schema('{"types": ' + "[" * 2000 + "]" * 2000 + "}")
 
 
 def test_plan_is_built_once_per_spec_and_schema(monkeypatch):

@@ -29,6 +29,7 @@ from .patterns import (
     PWild,
 )
 from .terms import (
+    Con,
     ListTerm,
     Signature,
     Term,
@@ -509,37 +510,56 @@ class SubprocessParser:
         self.close()
 
 
-def _project(t: Term, path, nonterminal: str) -> Term:
-    for idx in path:
-        kids = children(t)
-        if idx >= len(kids):
-            raise ParserError(
-                f"context projection {list(path)} for {nonterminal} fell off the tree", 0, 0
-            )
-        t = kids[idx]
-    return t
-
-
 def make_parse_fn(base: Callable, nonterminal: str, *, signature: Signature | None = None,
-                  wrap: str | None = None, project=(), check: bool = False) -> Callable:
+                  wrap: str = "{body}", project=(), hole: Callable | None = None,
+                  check: bool = False) -> Callable:
     """Wrap a raw text->Term function with context wrapping, projection, and checking.
 
-    `wrap` embeds the fragment into a complete unit via `{body}` substitution;
-    `project` strips the context image back off by child indices.
+    `wrap` embeds the fragment into a complete unit via `{body}` substitution,
+    and error positions are mapped back into the fragment. `project` follows
+    child indices from the unit's tree to the fragment's image. It is strict:
+    the unit around `hole(0)`, parsed on first use, is the reference, and each
+    tree must match it everywhere off that path.
     """
+    if not isinstance(wrap, str) or wrap.count("{body}") != 1:
+        raise RegistryConfigError(f"wrap for {nonterminal} must contain {{body}} exactly once")
+    if not isinstance(project, (list, tuple)) or any(type(i) is not int or i < 0 for i in project):
+        raise RegistryConfigError(f"project for {nonterminal} must be a list of non-negative integers")
+    if project and hole is None:
+        raise RegistryConfigError(f"project for {nonterminal} needs a hole template")
+    prefix, suffix = wrap.split("{body}")
+    lines, indent = prefix.count("\n"), len(prefix) - (prefix.rfind("\n") + 1)
+    reference: list = []  # parsed on first use; racing threads append equal trees
+
+    def unit(text: str) -> Term:
+        try:
+            return base(prefix + text + suffix)
+        except ParserError as e:
+            if not prefix or e.line <= lines:  # no position, or one inside the context
+                raise
+            line = e.line - lines
+            raise type(e)(e.message, line, max(e.col - indent, 1) if line == 1 else e.col) from None
 
     def parse(text: str) -> Term:
-        if wrap is not None:
-            text = wrap.replace("{body}", text)
-        t = base(text)
+        t = unit(text)
         if project:
-            t = _project(t, project, nonterminal)
+            if not reference:
+                reference.append(unit(hole(0)))
+            ref = reference[0]
+            for i in project:
+                c, kids, ref_kids = t.__class__, children(t), children(ref)
+                if i >= len(ref_kids):
+                    raise RegistryConfigError(f"project for {nonterminal} leaves its context's tree")
+                if (c is not ref.__class__ or len(kids) != len(ref_kids)
+                        or (c is Con and (t.name, t.type) != (ref.name, ref.type))
+                        or (c is ListTerm and t.elem_type != ref.elem_type)
+                        or kids[:i] != ref_kids[:i] or kids[i + 1:] != ref_kids[i + 1:]):
+                    raise ParserError(f"expected exactly one {nonterminal}", 1, 1)
+                t, ref = kids[i], ref_kids[i]
         if check and signature is not None:
             issues = check_term(signature, t, adt(nonterminal))
             if issues:
-                raise IllTypedParserOutput(
-                    f"parser output for {nonterminal} is ill-typed: {issues[0]}"
-                )
+                raise IllTypedParserOutput(f"parser output for {nonterminal} is ill-typed: {issues[0]}")
         return t
 
     return parse
@@ -553,14 +573,16 @@ def make_parse_fn(base: Callable, nonterminal: str, *, signature: Signature | No
 #     "JSON": {"builtin": "json"},
 #     "Stm":  {"command": ["csbb-exprlang"], "signature": "exprlang.sig",
 #               "hole": "_hole_{id};"},
-#     "Prop2": {"builtin": "json", "via": "JSON", "wrap": "{{body}}",
-#               "project": [0, 0], "hole": "_hole:{id}"}
+#     "Prop": {"builtin": "json", "via": "JSON", "wrap": "{ {body} }",
+#              "project": [0, 0], "hole": "_hole:{id}"}
 #   }
 # }
 #
 # Hole templates substitute the literal text {id}; wrap templates substitute
-# {body}. "via" names the nonterminal used to parse the wrapped text (default:
-# the entry's own). Relative signature paths resolve against the config file.
+# {body}, which must occur once. "via" names the nonterminal used to parse the
+# wrapped text (default: the entry's own). "project" needs a hole template or a
+# builtin's own hole encoder (see make_parse_fn). Relative signature paths
+# resolve against the config file.
 
 
 def hole_encoder_from_template(template: str) -> Callable:
@@ -595,41 +617,32 @@ def load_registry_config(path: str) -> ParserRegistry:
                 raise RegistryConfigError(f"cannot read signature file {sig_path}: {e}") from None
         return signatures[sig_path]
 
-    builtins = {
-        "json": {
-            "JSON": (jsonlang.parse_json, jsonlang.json_hole, jsonlang.JSON_SIGNATURE),
-            "Prop": (jsonlang.parse_prop, jsonlang.prop_hole, jsonlang.JSON_SIGNATURE),
-        }
-    }
+    builtins = {"json": (jsonlang.nonterminals(), jsonlang.JSON_SIGNATURE)}
 
     for nonterminal, spec in doc["nonterminals"].items():
         if not isinstance(spec, dict):
             raise RegistryConfigError(f"entry for {nonterminal} must be an object")
-        wrap = spec.get("wrap")
-        project = tuple(spec.get("project", ()))
+        wrap = spec.get("wrap", "{body}")
+        project = spec.get("project", ())
         via = spec.get("via", nonterminal)
         hole_template = spec.get("hole")
+        hole = hole_encoder_from_template(hole_template) if hole_template else None
 
         if "builtin" in spec:
-            table = builtins.get(spec["builtin"])
+            table, signature = builtins.get(spec["builtin"], (None, None))
             if table is None:
                 raise RegistryConfigError(f"unknown builtin {spec['builtin']!r}")
-            served = table.get(via)
-            if served is None:
-                raise RegistryConfigError(
-                    f"builtin {spec['builtin']!r} does not serve nonterminal {via}"
-                )
-            base, _, signature = served
+            if via not in table:
+                raise RegistryConfigError(f"builtin {spec['builtin']!r} does not serve nonterminal {via}")
             if not signature.has_type(nonterminal):
                 raise RegistryConfigError(
                     f"nonterminal {nonterminal} is not a type of builtin {spec['builtin']!r}"
                 )
-            default_hole = table[nonterminal][1] if nonterminal in table else None
-            hole = hole_encoder_from_template(hole_template) if hole_template else default_hole
-            needs_check = via != nonterminal or bool(project)
+            if hole is None and nonterminal in table:
+                hole = table[nonterminal][1]
             parse = make_parse_fn(
-                base, nonterminal, signature=signature, wrap=wrap, project=project,
-                check=needs_check,
+                table[via][0], nonterminal, signature=signature, wrap=wrap, project=project,
+                hole=hole, check=via != nonterminal or bool(project),
             )
             reg.register(nonterminal, parse, hole=hole, signature=signature)
         elif "command" in spec:
@@ -650,9 +663,9 @@ def load_registry_config(path: str) -> ParserRegistry:
             adapter = adapters[key]
             base = (lambda a, v: lambda text: a.parse(v, text))(adapter, via)
             parse = make_parse_fn(
-                base, nonterminal, signature=signature, wrap=wrap, project=project, check=True,
+                base, nonterminal, signature=signature, wrap=wrap, project=project, hole=hole,
+                check=True,
             )
-            hole = hole_encoder_from_template(hole_template) if hole_template else None
             reg.register(nonterminal, parse, hole=hole, signature=signature)
         else:
             raise RegistryConfigError(

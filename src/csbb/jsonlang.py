@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring  # JSON string syntax, quotes included
 
-from .concrete import ParserError, ParserRegistry
+from .concrete import ParserError, ParserRegistry, make_parse_fn
 from .terms import (
     Con,
     Constructor,
@@ -77,10 +77,6 @@ def ident(name: str) -> Con:
 
 class JsonSyntaxError(ParserError):
     pass
-
-
-class WrappedParseNotObject(Exception):
-    """Defensive: the brace-wrapped property text did not parse to an object."""
 
 
 _WS = " \t\n\r"
@@ -268,26 +264,14 @@ class _JsonParser:
 def parse_json(text: str) -> Term:
     """Parse one JSON value (unquoted identifier keys allowed) to a term."""
     p = _JsonParser(text)
-    t = p.value()
+    try:
+        t = p.value()
+    except RecursionError:
+        p.fail("input nests too deeply")
     p.skip_ws()
     if p.pos != len(text):
         p.fail("trailing content after JSON value")
     return t
-
-
-def parse_prop(text: str) -> Term:
-    """Parse one property by wrapping it in braces and projecting it back out."""
-    try:
-        wrapped = parse_json("{" + text + "}")
-    except JsonSyntaxError as e:
-        col = e.col - 1 if e.line == 1 else e.col
-        raise JsonSyntaxError(e.message, e.line, max(col, 1)) from None
-    if not (isinstance(wrapped, Con) and wrapped.name == "object"):
-        raise WrappedParseNotObject(f"got {wrapped}")
-    props = wrapped.args[0].elems
-    if len(props) != 1:
-        raise JsonSyntaxError(f"expected exactly one property, found {len(props)}", 1, 1)
-    return props[0]
 
 
 def json_hole(i: int) -> str:
@@ -306,8 +290,8 @@ def prop_hole(i: int) -> str:
 def print_json(t: Term) -> str:
     """Canonical rendering: quoted keys, no insignificant whitespace.
 
-    parse_json(print_json(t)) == t for every term well-typed at JSON;
-    parse_prop inverts it for Prop terms.
+    parse_json(print_json(t)) == t for every term well-typed at JSON, and the
+    builtin Prop parser inverts it for Prop terms.
     """
     root = "Prop" if isinstance(t, Con) and t.type == "Prop" else "JSON"
     issues = check_term(JSON_SIGNATURE, t, adt(root))
@@ -333,7 +317,13 @@ def _print(t: Con):
     return "null"
 
 
+def nonterminals() -> dict:
+    """The builtin binding, built afresh: nonterminal -> (parse function, hole encoder)."""
+    prop_parse = make_parse_fn(parse_json, "Prop", wrap="{{body}}", project=(0, 0), hole=prop_hole)
+    return {"JSON": (parse_json, json_hole), "Prop": (prop_parse, prop_hole)}
+
+
 def register_json(reg: ParserRegistry) -> None:
     """Install the builtin binding: nonterminals JSON and Prop."""
-    reg.register("JSON", parse_json, hole=json_hole, signature=JSON_SIGNATURE)
-    reg.register("Prop", parse_prop, hole=prop_hole, signature=JSON_SIGNATURE)
+    for nonterminal, (parse, hole) in nonterminals().items():
+        reg.register(nonterminal, parse, hole=hole, signature=JSON_SIGNATURE)

@@ -21,6 +21,7 @@ from .terms import (
     Term,
     emit,
     format_real,
+    has_surrogate,
     just_,
     nothing_,
 )
@@ -191,6 +192,8 @@ class _Reader:
             value, end = decoder(self.text, self.pos + 1)
         except ValueError as e:
             self.fail(f"bad string literal: {e}")
+        if has_surrogate(value):
+            self.fail("lone surrogate in string")  # at the string's opening quote
         self.pos = end
         return value
 

@@ -519,6 +519,14 @@ def decode_term(text: str) -> Term:
         raise TermDecodeError("input nests too deeply") from None
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_surrogate(s: str) -> bool:
+    """Whether s holds a surrogate code point, which UTF-8 cannot encode."""
+    return not s.isascii() and _SURROGATE.search(s) is not None
+
+
 def term_from_wire(obj, path: str = "$") -> Term:
     """Build a Term from already-parsed wire JSON."""
     if not isinstance(obj, dict):
@@ -550,6 +558,8 @@ def term_from_wire(obj, path: str = "$") -> Term:
     if keys == {"str"}:
         if not isinstance(obj["str"], str):
             raise TermDecodeError(f"{path}: str payload must be a string")
+        if has_surrogate(obj["str"]):
+            raise TermDecodeError(f"{path}: str payload holds a lone surrogate")
         return Prim("str", obj["str"])
     if keys == {"list", "elem"}:
         if not isinstance(obj["list"], list):

@@ -19,7 +19,18 @@ from csbb.concrete import (
     TextChunk,
     UnterminatedHole,
 )
-from csbb.jsonlang import JSON_SIGNATURE, array, boolean, null_, number, obj, prop, string
+from csbb.jsonlang import (
+    JSON_SIGNATURE,
+    JsonSyntaxError,
+    array,
+    boolean,
+    null_,
+    number,
+    obj,
+    parse_json,
+    prop,
+    string,
+)
 from csbb.patterns import (
     IllTypedRule,
     MatchTypeError,
@@ -1168,3 +1179,27 @@ def instantiate_oracle(p: Pattern, env: Env) -> Term:
     if isinstance(p, (PWild, PSeqWild)):
         raise PatternStructureError("wildcards cannot be instantiated")
     raise PatternStructureError("sequence pattern used outside a list")
+
+
+# ---------------------------------------------------------------------------
+# The builtin Prop parser as it was before it became a wrap/project entry of
+# the one strict context projection (concrete.make_parse_fn).
+
+
+class WrappedParseNotObject(Exception):
+    """Defensive: the brace-wrapped property text did not parse to an object."""
+
+
+def parse_prop_oracle(text: str) -> Term:
+    """Parse one property by wrapping it in braces and projecting it back out."""
+    try:
+        wrapped = parse_json("{" + text + "}")
+    except JsonSyntaxError as e:
+        col = e.col - 1 if e.line == 1 else e.col
+        raise JsonSyntaxError(e.message, e.line, max(col, 1)) from None
+    if not (isinstance(wrapped, Con) and wrapped.name == "object"):
+        raise WrappedParseNotObject(f"got {wrapped}")
+    props = wrapped.args[0].elems
+    if len(props) != 1:
+        raise JsonSyntaxError(f"expected exactly one property, found {len(props)}", 1, 1)
+    return props[0]

@@ -52,6 +52,7 @@ def test_parse_malformed_input(capsys):
 
 @pytest.mark.parametrize("text, error", [
     ("1E400", "col 1: number out of range"), ('"\\ud800"', "col 2: lone surrogate escape"),
+    pytest.param("[" * 600 + "]" * 600, ": input nests too deeply", id="600-deep"),
 ])
 def test_parse_unrepresentable_input_exits_2(capsys, text, error):
     code, out, err = run(capsys, "parse", "--lang", "JSON", "--text", text, "--out", "term")

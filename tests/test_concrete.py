@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,6 +34,7 @@ from csbb.concrete import (
     MalformedHole,
     NoHoleEncoder,
     NoParserRegistered,
+    ParserError,
     ParserRegistry,
     ProtocolError,
     RegistryConfigError,
@@ -46,7 +48,9 @@ from csbb.concrete import (
     split_fragment,
     to_pattern,
 )
+from csbb.exprlang import SIGNATURE as EXPRLANG_SIGNATURE
 from csbb.jsonlang import (
+    JsonSyntaxError,
     array,
     ident,
     json_hole,
@@ -66,7 +70,7 @@ from csbb.patterns import (
     match,
     pattern_vars,
 )
-from csbb.terms import Prim, adt
+from csbb.terms import Prim, adt, render_signature
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +485,7 @@ def test_subprocess_dead_child_is_replaced(tmp_path):
     '{"ok": true}',
     '{"ok": true, "term": 5}',
     '{"ok": false, "line": "one"}',
+    '{"ok": true, "term": {"str": "\\ud800"}}',  # a lone surrogate: TermDecodeError
 ])
 def test_subprocess_never_reads_a_stale_reply(tmp_path, garbage):
     # The first child answers every request with a garbage line and then a
@@ -643,3 +648,95 @@ def test_config_errors(tmp_path):
     no_signature.write_text(json.dumps({"nonterminals": {"Stm": {"command": ["x"]}}}))
     with pytest.raises(RegistryConfigError):
         concrete.load_registry_config(str(no_signature))
+
+    # wrap needs {body} once; project is a list of non-negative ints and needs a hole image
+    for entry, message in [
+        ({"wrap": "[]"}, "must contain {body} exactly once"),
+        ({"wrap": "[{body}, {body}]"}, "must contain {body} exactly once"),
+        ({"wrap": ["{body}"]}, "must contain {body} exactly once"),
+        ({"wrap": "[{body}]", "project": [0, -1]}, "must be a list of non-negative integers"),
+        ({"wrap": "[{body}]", "project": [0, "0"]}, "must be a list of non-negative integers"),
+        ({"wrap": "[{body}]", "project": [True]}, "must be a list of non-negative integers"),
+        ({"wrap": "[{body}]", "project": 0}, "must be a list of non-negative integers"),
+        ({"via": "JSON", "wrap": "{{body}: 1}", "project": [0, 0, 0]}, "needs a hole template"),
+    ]:
+        bad_wrap = tmp_path / "cfg4.json"
+        entry = {"builtin": "json", "via": "JSON", **entry}
+        bad_wrap.write_text(json.dumps({"nonterminals": {"Id": entry}}))
+        with pytest.raises(RegistryConfigError, match=re.escape(message)):
+            concrete.load_registry_config(str(bad_wrap))
+
+
+README_PROP_ENTRY = {"builtin": "json", "via": "JSON", "wrap": "{ {body} }",
+                     "project": [0, 0], "hole": "_hole:{id}"}
+
+
+@pytest.mark.parametrize("source", ["config", "builtin"])
+def test_projection_is_strict(tmp_path, source):
+    if source == "config":
+        config = tmp_path / "registry.json"
+        config.write_text(json.dumps({"nonterminals": {"JSON": {"builtin": "json"},
+                                                       "Prop": README_PROP_ENTRY}}))
+        reg = concrete.load_registry_config(str(config))
+    else:
+        reg = concrete.default_registry()
+    runs = [lambda: parse_term("Prop", "a: 1, b: 2", reg),
+            lambda: to_pattern("Prop", "a: <JSON x>, b: 2", reg),
+            lambda: parse_term("Prop", "", reg)]
+    for run in runs:
+        with pytest.raises(ParserError) as exc:
+            run()
+        assert type(exc.value) is ParserError
+        assert str(exc.value) == "line 1, col 1: expected exactly one Prop"
+    with pytest.raises(JsonSyntaxError) as exc:
+        parse_term("Prop", "a: @", reg)
+    assert (exc.value.line, exc.value.col) == (1, 4)
+
+
+def test_projection_rejects_a_changed_context():
+    # As a typedef changes how C reads the statements after it, this black box
+    # reads the context's trailing 0 as 1 after the body 2.
+    parse = concrete.make_parse_fn(lambda text: parse_json(text.replace("2, 0]", "2, 1]")), "JSON",
+                                   wrap="[{body}, 0]", project=(0, 0), hole=json_hole)
+    assert parse("3") == number(3.0)
+    with pytest.raises(ParserError, match="expected exactly one JSON"):
+        parse("2")
+    off_the_tree = concrete.make_parse_fn(parse_json, "JSON", wrap="[{body}]", project=(0, 1),
+                                          hole=json_hole)
+    with pytest.raises(RegistryConfigError, match="leaves its context's tree"):
+        off_the_tree("1")
+
+
+def test_projection_maps_lines_into_the_fragment(tmp_path):
+    config = tmp_path / "registry.json"
+    config.write_text(json.dumps({"nonterminals": {
+        "JSON": {"builtin": "json", "wrap": "[\n  {body}]", "project": [0, 0]},
+    }}))
+    reg = concrete.load_registry_config(str(config))
+    assert reg.parse("JSON", "1") == number(1.0)
+    for text, line, col in [("@", 1, 1), (" [1,\n  @]", 2, 3)]:
+        with pytest.raises(JsonSyntaxError) as exc:
+            reg.parse("JSON", text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_projection_over_the_subprocess_child(tmp_path):
+    (tmp_path / "exprlang.sig").write_text(render_signature(EXPRLANG_SIGNATURE))
+    config = tmp_path / "registry.json"
+    config.write_text(json.dumps({"nonterminals": {
+        "Stm": {"command": [sys.executable, "-m", "csbb.exprlang"], "signature": "exprlang.sig"},
+        "Expr": {"command": [sys.executable, "-m", "csbb.exprlang"], "signature": "exprlang.sig",
+                 "via": "Stm", "wrap": "{ {body}; }", "project": [0, 0, 0], "hole": "_hole_{id}"},
+    }}))
+    with concrete.load_registry_config(str(config)) as reg:
+        assert parse_term("Expr", "1 + 2", reg).name == "add"
+        assert pattern_vars(to_pattern("Expr", "<Expr a> + 1", reg)) == {"a": ("var", adt("Expr"))}
+        with pytest.raises(ParserError) as exc:
+            parse_term("Expr", "x; y", reg)  # the child accepts { x; y; }
+        assert type(exc.value) is ParserError and exc.value.message == "expected exactly one Expr"
+        with pytest.raises(ChildReportedSyntaxError) as wrapped:
+            parse_term("Stm", "{ 1 + + 2; }", reg)
+        with pytest.raises(ChildReportedSyntaxError) as exc:
+            parse_term("Expr", "1 + + 2", reg)
+        assert (exc.value.message, exc.value.line) == (wrapped.value.message, 1)
+        assert exc.value.col == wrapped.value.col - 2 == 5

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from support import gen_json_term, outcome, print_json_oracle, term_equals
+from support import gen_json_term, outcome, parse_prop_oracle, print_json_oracle, term_equals
+from csbb.concrete import ParserError, default_registry
 from csbb.jsonlang import (
     JSON_SIGNATURE,
     JsonSyntaxError,
@@ -15,7 +16,6 @@ from csbb.jsonlang import (
     number,
     obj,
     parse_json,
-    parse_prop,
     print_json,
     prop,
     prop_hole,
@@ -24,6 +24,13 @@ from csbb.jsonlang import (
 from csbb.terms import Con, Prim, adt, check_term
 
 RODIN = obj([prop("name", string("Rodin")), prop("age", number(29.0))])
+
+REGISTRY = default_registry()
+
+
+def parse_prop(text: str):
+    """The builtin Prop parser, reached through the registry as every caller reaches it."""
+    return REGISTRY.parse("Prop", text)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +110,7 @@ def test_output_is_well_typed():
 
 
 # ---------------------------------------------------------------------------
-# parse_prop
+# the builtin Prop parser
 
 
 def test_prop_wraps_and_projects():
@@ -119,10 +126,14 @@ def test_prop_with_array_value():
 
 
 def test_prop_rejects_empty_and_multiple():
-    with pytest.raises(JsonSyntaxError):
-        parse_prop("")
-    with pytest.raises(JsonSyntaxError):
-        parse_prop("a: 1, b: 2")
+    # The one strict context projection reports this for every wrap/project
+    # entry; the hand-written Prop parser it replaced raised JsonSyntaxError
+    # "expected exactly one property, found N".
+    for text in ("", "a: 1, b: 2", "a: 1, b: 2, c: 3"):
+        with pytest.raises(ParserError) as exc:
+            parse_prop(text)
+        assert type(exc.value) is ParserError
+        assert str(exc.value) == "line 1, col 1: expected exactly one Prop"
 
 
 def test_prop_error_columns_point_into_fragment():
@@ -130,6 +141,37 @@ def test_prop_error_columns_point_into_fragment():
         parse_prop("a: @")
     assert exc.value.line == 1
     assert exc.value.col == 4
+
+
+def _corrupt(rng, text: str) -> str:
+    i = rng.randrange(len(text) + 1)
+    op = rng.choice(("insert", "delete", "replace"))
+    ch = rng.choice('{}[]:,"@ \n ab0')
+    if op == "insert" or not text:
+        return text[:i] + ch + text[i:]
+    i = min(i, len(text) - 1)
+    return text[:i] + (ch if op == "replace" else "") + text[i + 1:]
+
+
+def test_prop_agrees_with_the_parse_prop_oracle():
+    # Equal terms, or the same error class, message, line and col, except
+    # for the oracle's one documented message (test above).
+    rng = random.Random(2121)
+    texts = ["", " ", "_hole:7", "a: 1, b: 2", 'a:1,b:2,"c":3', "a: 1,", ",a: 1", "}{", "a: {}}{"]
+    for _ in range(300):
+        props = [print_json(prop(rng.choice(["k", "a b", "_x1"]), gen_json_term(rng, 2)))
+                 for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))]
+        if rng.random() < 0.5:  # identifier keys and whitespace
+            props = [p.replace('"k":', rng.choice(["k:", " k :", "\n\tk\n:\n"])) for p in props]
+        text = rng.choice([",", ", ", ",\n"]).join(props)
+        texts.append(text)
+        if text or rng.random() < 0.5:
+            texts.append(_corrupt(rng, text))
+    for text in texts:
+        want, got = outcome(parse_prop_oracle, text), outcome(parse_prop, text)
+        if isinstance(want, tuple) and want[1].startswith("line 1, col 1: expected exactly one property"):
+            want = (ParserError, "line 1, col 1: expected exactly one Prop")
+        assert got == want, text  # str(e) starts "line L, col C:"
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,24 @@ def test_pretty_reader_rejects_out_of_range_reals():
         assert (exc.value.message, exc.value.offset) == ("number out of range", offset)
 
 
+def test_pretty_reader_rejects_lone_surrogates():
+    # UTF-8 cannot encode them, so encode_term(t).encode("utf-8") would fail later.
+    for text, offset in (('string("\ud800")', 7), ('array([string("a"), string("\\udc00")])', 27)):
+        with pytest.raises(PrettyTermError) as exc:
+            parse_pretty_term(JSON_SIGNATURE, text, adt("JSON"))
+        assert (exc.value.message, exc.value.offset) == ("lone surrogate in string", offset)
+    assert parse_pretty_term(JSON_SIGNATURE, 'string("\\ud83d\\ude00")', adt("JSON")) == string("\U0001f600")
+
+
+def test_decode_rejects_lone_surrogates():
+    for text, path in (('{"str":"\ud800"}', "$"),
+                       ('{"list":[{"str":"a\\udfff"}],"elem":{"prim":"str"}}', "$.list[0]")):
+        with pytest.raises(TermDecodeError) as exc:
+            decode_term(text)
+        assert exc.value.message == f"{path}: str payload holds a lone surrogate"
+    assert decode_term('{"str":"\\ud83d\\ude00"}') == Prim("str", "\U0001f600")
+
+
 def test_decode_rejects_wrong_shapes():
     for bad in ('{"con":"a","args":[]}', '{"int": 1.5}', '{"int": true}', '{"bool": 1}', "[1]"):
         with pytest.raises(TermDecodeError):

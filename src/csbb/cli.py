@@ -67,7 +67,7 @@ def cmd_parse(args) -> int:
     reg = _load_registry(args)
     try:
         text = args.text if args.text is not None else _read(args.file)
-        term = concrete.parse_term(args.lang, text, reg)
+        term = reg.parse(args.lang, text)
     except PipelineError as e:
         _err(str(e))
         return 2
@@ -86,7 +86,7 @@ def cmd_match(args) -> int:
     reg = _load_registry(args)
     try:
         pattern = concrete.to_pattern(args.lang, _pattern_text(args), reg, lenient=args.lenient)
-        subject = concrete.parse_term(args.lang, _read(args.input), reg)
+        subject = reg.parse(args.lang, _read(args.input))
     except HoleCaptured as e:
         _err(str(e))
         return 4

@@ -18,6 +18,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+from .lexing import PositionedError
 from .patterns import (
     Pattern,
     PCon,
@@ -105,14 +106,8 @@ class HolesNotAllowed(PipelineError):
     pass
 
 
-class ParserError(PipelineError):
+class ParserError(PositionedError, PipelineError):
     """A syntax error reported by an object-language parser."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
 
 
 class ChildSpawnError(PipelineError):

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 
+from .lexing import PositionedError, TokenReader
 from .terms import (
     Con,
     Constructor,
@@ -44,85 +44,26 @@ SIGNATURE = Signature(
 )
 
 
-class ExprLangSyntaxError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+class ExprLangSyntaxError(PositionedError):
+    pass
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[+(){};]|\S")
-_KEYWORDS = {"void", "while"}
+_SCANNER = re.compile(
+    r"(?P<ws>[ \t\r\n]+)|(?P<keyword>(?:void|while)(?![A-Za-z0-9_]))"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)|(?P<punct>[+(){};])|(?P<stray>.)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    value: str
-    kind: str  # ident | int | punct | keyword
-    line: int
-    col: int
-
-
-def _lex(src: str) -> list:
-    toks: list = []
-    line, col, i = 1, 1, 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            col, i = col + 1, i + 1
-            continue
-        m = _TOKEN.match(src, i)
-        value = m.group()
-        if value in _KEYWORDS:
-            kind = "keyword"
-        elif value[0].isdigit():
-            kind = "int"
-        elif value[0].isalpha() or value[0] == "_":
-            kind = "ident"
-        elif value in "+(){};":
-            kind = "punct"
-        else:
-            raise ExprLangSyntaxError(f"stray character {value!r}", line, col)
-        toks.append(_Tok(value, kind, line, col))
-        i += len(value)
-        col += len(value)
-    toks.append(_Tok("", "eof", line, col))
-    return toks
-
-
-class _Parser:
+class _Parser(TokenReader):
     """Whole-program recursive descent: void name() { stm* }."""
 
     def __init__(self, src: str):
-        self.toks = _lex(src)
-        self.pos = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> _Tok:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ExprLangSyntaxError(message, tok.line, tok.col)
-
-    def expect(self, value: str) -> _Tok:
-        tok = self.peek()
-        if tok.value != value:
-            self.fail(f"expected {value!r}, got {tok.value or 'end of input'!r}")
-        return self.next()
+        super().__init__(src, _SCANNER, ExprLangSyntaxError)
 
     def program(self) -> list:
         self.expect("void")
-        name = self.peek()
-        if name.kind != "ident":
+        if self.peek()[0] != "ident":
             self.fail("expected a function name")
         self.next()
         self.expect("(")
@@ -130,19 +71,19 @@ class _Parser:
         self.expect("{")
         stms = self.statements()
         self.expect("}")
-        if self.peek().kind != "eof":
+        if self.peek()[0] != "eof":
             self.fail("trailing content after the function body")
         return stms
 
     def statements(self) -> list:
         stms: list = []
-        while self.peek().value not in ("}", ""):
+        while self.peek()[1] not in ("}", ""):
             stms.append(self.statement())
         return stms
 
     def statement(self) -> Term:
-        tok = self.peek()
-        if tok.value == "while":
+        value = self.peek()[1]
+        if value == "while":
             self.next()
             self.expect("(")
             cond = self.expression()
@@ -151,7 +92,7 @@ class _Parser:
             body = self.statements()
             self.expect("}")
             return Con("whileStm", "Stm", (cond, ListTerm(tuple(body), adt("Stm"))))
-        if tok.value == "{":
+        if value == "{":
             self.next()
             stms = self.statements()
             self.expect("}")
@@ -162,20 +103,20 @@ class _Parser:
 
     def expression(self) -> Term:
         left = self.atom()
-        while self.peek().value == "+":
+        while self.peek()[1] == "+":
             self.next()
             left = Con("add", "Expr", (left, self.atom()))
         return left
 
     def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, value, _ = self.peek()
+        if kind == "int":
             self.next()
-            return Con("intLit", "Expr", (Prim("int", int(tok.value)),))
-        if tok.kind == "ident":
+            return Con("intLit", "Expr", (Prim("int", int(value)),))
+        if kind == "ident":
             self.next()
-            return Con("varRef", "Expr", (Prim("str", tok.value),))
-        if tok.value == "(":
+            return Con("varRef", "Expr", (Prim("str", value),))
+        if value == "(":
             self.next()
             e = self.expression()
             self.expect(")")

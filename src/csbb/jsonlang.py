@@ -11,6 +11,7 @@ import math
 from json.encoder import encode_basestring  # JSON string syntax, quotes included
 
 from .concrete import ParserError, ParserRegistry, make_parse_fn
+from .lexing import line_col
 from .terms import (
     Con,
     Constructor,
@@ -92,10 +93,7 @@ class _JsonParser:
         self.pos = 0
 
     def fail(self, message: str, pos: int | None = None):
-        p = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, p) + 1
-        col = p - (self.text.rfind("\n", 0, p) + 1) + 1
-        raise JsonSyntaxError(message, line, col)
+        raise JsonSyntaxError(message, *line_col(self.text, self.pos if pos is None else pos))
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in _WS:

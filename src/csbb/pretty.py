@@ -201,7 +201,10 @@ class _Reader:
 def parse_pretty_term(sig: Signature, text: str, expected: ArgType) -> Term:
     """Read a printed term back, typed against sig at the expected type."""
     r = _Reader(text, sig)
-    t = r.value(expected)
+    try:
+        t = r.value(expected)
+    except RecursionError:
+        r.fail("input nests too deeply")
     r.skip_ws()
     if r.pos != len(text):
         r.fail("trailing content after the term")

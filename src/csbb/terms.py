@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 
+from .lexing import PositionedError, TokenReader
+
 PRIM_KINDS = ("int", "real", "bool", "str")
 
 MAYBE_TYPE = "Maybe"
@@ -23,12 +25,8 @@ class SignatureError(Exception):
     """An internally inconsistent signature."""
 
 
-class SignatureSyntaxError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+class SignatureSyntaxError(PositionedError):
+    pass
 
 
 class TermDecodeError(Exception):
@@ -596,128 +594,88 @@ def argtype_from_wire(obj, path: str = "$") -> ArgType:
 # An optional leading `module a::b` line is skipped, so generated module files
 # load directly as signature files. `#` starts a line comment.
 
-_SIG_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[=|(),;\[\]]|::|\S")
-
-
-class _SigTokens:
-    def __init__(self, text: str):
-        self.toks: list = []  # (value, line, col)
-        line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch in " \t\r":
-                i += 1
-                col += 1
-                continue
-            if ch == "#":
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-                continue
-            m = _SIG_TOKEN.match(text, i)
-            tok = m.group()
-            self.toks.append((tok, line, col))
-            i += len(tok)
-            col += len(tok)
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def next(self, expected: str | None = None) -> str:
-        if self.pos >= len(self.toks):
-            last = self.toks[-1] if self.toks else ("", 1, 1)
-            raise SignatureSyntaxError(
-                f"unexpected end of input, expected {expected or 'a token'}", last[1], last[2]
-            )
-        tok, line, col = self.toks[self.pos]
-        if expected is not None and tok != expected:
-            raise SignatureSyntaxError(f"expected {expected!r}, got {tok!r}", line, col)
-        self.pos += 1
-        return tok
-
-    def error(self, message: str):
-        if self.pos < len(self.toks):
-            _, line, col = self.toks[self.pos]
-        else:
-            line, col = 1, 1
-        raise SignatureSyntaxError(message, line, col)
-
-
+_SIG_SCANNER = re.compile(
+    r"(?P<ws>[ \t\r\n]+)|(?P<comment>#[^\n]*)|(?P<tok>[A-Za-z_][A-Za-z0-9_]*|::|.)", re.DOTALL
+)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _take(toks: TokenReader, expected: str | None = None) -> tuple:
+    """The next token; at end of input, an error at the last token."""
+    kind, value, _ = toks.peek()
+    if kind == "eof":  # the parser calls this only after it has seen a token
+        toks.fail(f"unexpected end of input, expected {expected or 'a token'}", toks.toks[-2][2])
+    if expected is not None and value != expected:
+        toks.fail(f"expected {expected!r}, got {value!r}")
+    return toks.next()
+
+
+def _name(toks: TokenReader, what: str, tok: tuple | None = None) -> str:
+    """The value of tok (by default the next token), which must be a name."""
+    _, value, offset = tok or _take(toks)
+    if not _IDENT.match(value):
+        toks.fail(f"bad {what} {value!r}", offset)
+    return value
 
 
 def parse_signature(text: str) -> Signature:
     """Parse `data T = c(...) | ...;` declarations into a Signature."""
-    toks = _SigTokens(text)
-    if toks.peek() == "module":
+    toks = TokenReader(text, _SIG_SCANNER, SignatureSyntaxError)
+    if toks.peek()[1] == "module":
         toks.next()
-        toks.next()  # first name component
-        while toks.peek() == "::":
+        _take(toks)  # first name component
+        while toks.peek()[1] == "::":
             toks.next()
-            toks.next()
+            _take(toks)
     types: list = []
     cons: list = []
-    while toks.peek() is not None:
-        toks.next("data")
-        type_name = toks.next()
-        if not _IDENT.match(type_name):
-            toks.error(f"bad type name {type_name!r}")
+    while toks.peek()[0] != "eof":
+        _take(toks, "data")
+        type_name = _name(toks, "type name")
         types.append(type_name)
-        toks.next("=")
+        _take(toks, "=")
         while True:
             cons.append(_parse_ctor(toks, type_name))
-            if toks.peek() == "|":
+            if toks.peek()[1] == "|":
                 toks.next()
                 continue
             break
-        toks.next(";")
+        _take(toks, ";")
     return Signature(frozenset(types), tuple(cons))
 
 
-def _parse_ctor(toks: _SigTokens, type_name: str) -> Constructor:
-    name = toks.next()
-    if not _IDENT.match(name):
-        toks.error(f"bad constructor name {name!r}")
-    toks.next("(")
+def _parse_ctor(toks: TokenReader, type_name: str) -> Constructor:
+    name = _name(toks, "constructor name")
+    _take(toks, "(")
     args: list = []
-    if toks.peek() != ")":
+    if toks.peek()[1] != ")":
         while True:
             at = _parse_argtype(toks)
-            arg_name = toks.next()
-            if not _IDENT.match(arg_name):
-                toks.error(f"bad argument name {arg_name!r}")
-            args.append((arg_name, at))
-            if toks.peek() == ",":
+            args.append((_name(toks, "argument name"), at))
+            if toks.peek()[1] == ",":
                 toks.next()
                 continue
             break
-    toks.next(")")
+    _take(toks, ")")
     return Constructor(name, type_name, tuple(args))
 
 
-def _parse_argtype(toks: _SigTokens) -> ArgType:
-    tok = toks.next()
-    if tok in PRIM_KINDS:
-        return prim(tok)
-    if tok == "list":
-        toks.next("[")
+def _parse_argtype(toks: TokenReader) -> ArgType:
+    tok = _take(toks)
+    value = tok[1]
+    if value in PRIM_KINDS:
+        return prim(value)
+    if value == "list":
+        _take(toks, "[")
         elem = _parse_argtype(toks)
-        toks.next("]")
+        _take(toks, "]")
         return list_of(elem)
-    if tok == MAYBE_TYPE and toks.peek() == "[":
-        toks.next("[")
+    if value == MAYBE_TYPE and toks.peek()[1] == "[":
+        _take(toks, "[")
         elem = _parse_argtype(toks)
-        toks.next("]")
+        _take(toks, "]")
         return maybe_of(elem)
-    if not _IDENT.match(tok):
-        toks.error(f"bad argument type {tok!r}")
-    return adt(tok)
+    return adt(_name(toks, "argument type", tok))
 
 
 def render_signature(sig: Signature) -> str:

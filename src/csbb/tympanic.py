@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from itertools import count, repeat
 from types import MappingProxyType
 
+from .lexing import PositionedError, TokenReader
 from .terms import (
     ArgType,
     Con,
@@ -58,12 +59,8 @@ from .terms import (
 PRIMITIVE_MAP = {"Integer": "int", "Boolean": "bool", "String": "str", "Double": "real"}
 
 
-class TympanicSyntaxError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+class TympanicSyntaxError(PositionedError):
+    pass
 
 
 class SchemaError(Exception):
@@ -454,108 +451,49 @@ class TympanicSpec:
 
 # --- tokenizer
 
-_T_SYMBOLS = ("=>", "==", "!=", "::", "-", ",", ":", "%", "(", ")", "[", "]", "?", ".", "=")
-_T_KEYWORDS = {"mapping", "import", "export", "types", "constructors"}
-_T_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_T_INT = re.compile(r"[0-9]+")
+_SCANNER = re.compile(
+    r"(?P<ws>[ \t\r\n]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<keyword>(?:mapping|import|export|types|constructors)(?![A-Za-z0-9_]))"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r"|(?P<sym>=>|==|!=|::|[-,:%()\[\]?.=])|(?P<stray>.)",
+    re.DOTALL,
+)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks: list = []  # (kind, value, line, col)
-        line, col, i = 1, 1, 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line, col, i = line + 1, 1, i + 1
-                continue
-            if ch in " \t\r":
-                col, i = col + 1, i + 1
-                continue
-            if ch == "#":
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-                continue
-            m = _T_IDENT.match(text, i)
-            if m:
-                value = m.group()
-                kind = "keyword" if value in _T_KEYWORDS else "ident"
-                self.toks.append((kind, value, line, col))
-                i += len(value)
-                col += len(value)
-                continue
-            m = _T_INT.match(text, i)
-            if m:
-                self.toks.append(("int", m.group(), line, col))
-                i += len(m.group())
-                col += len(m.group())
-                continue
-            for sym in _T_SYMBOLS:
-                if text.startswith(sym, i):
-                    self.toks.append(("sym", sym, line, col))
-                    i += len(sym)
-                    col += len(sym)
-                    break
-            else:
-                raise TympanicSyntaxError(f"stray character {ch!r}", line, col)
-        self.toks.append(("eof", "", line, col))
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        _, _, line, col = self.peek()
-        raise TympanicSyntaxError(message, line, col)
-
-    def expect(self, value: str) -> str:
-        kind, v, line, col = self.peek()
-        if v != value:
-            raise TympanicSyntaxError(f"expected {value!r}, got {v or 'end of input'!r}", line, col)
-        self.next()
-        return v
-
-    def ident(self, what: str) -> str:
-        kind, v, line, col = self.peek()
-        if kind != "ident":
-            raise TympanicSyntaxError(f"expected {what}, got {v or 'end of input'!r}", line, col)
-        self.next()
-        return v
+def _ident(toks: TokenReader, what: str) -> str:
+    kind, v, _ = toks.peek()
+    if kind != "ident":
+        toks.fail(f"expected {what}, got {v or 'end of input'!r}")
+    return toks.next()[1]
 
 
 def parse_tympanic(text: str) -> TympanicSpec:
     """Parse a mapping file into its spec AST."""
-    toks = _Tokens(text)
+    toks = TokenReader(text, _SCANNER, TympanicSyntaxError)
     toks.expect("mapping")
-    name = toks.ident("a mapping name")
+    name = _ident(toks, "a mapping name")
 
     imports: list = []
     while toks.peek()[1] == "import":
         toks.next()
-        path = [toks.ident("a package name")]
+        path = [_ident(toks, "a package name")]
         while toks.peek()[1] == ".":
             toks.next()
-            path.append(toks.ident("a package name"))
+            path.append(_ident(toks, "a package name"))
         imports.append(tuple(path))
 
     toks.expect("export")
-    export = [toks.ident("a module name")]
+    export = [_ident(toks, "a module name")]
     while toks.peek()[1] == "::":
         toks.next()
-        export.append(toks.ident("a module name"))
+        export.append(_ident(toks, "a module name"))
 
     toks.expect("types")
     types: list = []
     while toks.peek()[0] == "ident":
-        foreign = toks.ident("a foreign type")
+        foreign = _ident(toks, "a foreign type")
         toks.expect("=>")
-        mapped = toks.ident("a data type")
+        mapped = _ident(toks, "a data type")
         if any(f == foreign for f, _ in types):
             toks.fail(f"duplicate type mapping for {foreign}")
         types.append((foreign, mapped))
@@ -583,7 +521,7 @@ def parse_tympanic(text: str) -> TympanicSpec:
     return TympanicSpec(name, tuple(imports), tuple(export), tuple(types), mappings)
 
 
-def _parse_rule(toks: _Tokens) -> Rule:
+def _parse_rule(toks: TokenReader) -> Rule:
     fields: list = []
     if toks.peek()[1] != ":":
         while True:
@@ -593,7 +531,7 @@ def _parse_rule(toks: _Tokens) -> Rule:
                 continue
             break
     toks.expect(":")
-    ctor = toks.ident("a constructor name")
+    ctor = _ident(toks, "a constructor name")
     toks.expect("(")
     args: list = []
     if toks.peek()[1] != ")":
@@ -607,23 +545,23 @@ def _parse_rule(toks: _Tokens) -> Rule:
     return Rule(tuple(fields), ctor, tuple(args))
 
 
-def _parse_field(toks: _Tokens) -> FieldSpec:
+def _parse_field(toks: TokenReader) -> FieldSpec:
     skip = False
     if toks.peek()[1] == "%":
         toks.next()
         skip = True
     if toks.peek()[1] == "(":
         toks.next()
-        target = toks.ident("a cast target type")
+        target = _ident(toks, "a cast target type")
         kind = "cast"
         if toks.peek()[1] == "[":
             toks.next()
             toks.expect("]")
             kind = "cast_array"
         toks.expect(")")
-        member = toks.ident("a member name")
+        member = _ident(toks, "a member name")
         return FieldSpec(member, kind, skip, cast_to=target)
-    member = toks.ident("a member name")
+    member = _ident(toks, "a member name")
     nxt = toks.peek()[1]
     if nxt == "==":
         toks.next()
@@ -637,8 +575,8 @@ def _parse_field(toks: _Tokens) -> FieldSpec:
     return FieldSpec(member, "plain", skip)
 
 
-def _parse_foreign_literal(toks: _Tokens) -> ForeignLit:
-    kind, value, line, col = toks.peek()
+def _parse_foreign_literal(toks: TokenReader) -> ForeignLit:
+    kind, value, _ = toks.peek()
     if value == "null":
         toks.next()
         return ForeignLit("null")
@@ -647,11 +585,9 @@ def _parse_foreign_literal(toks: _Tokens) -> ForeignLit:
         return ForeignLit("bool", value == "true")
     if value == "-":
         toks.next()
-        k2, v2, l2, c2 = toks.peek()
-        if k2 != "int":
-            raise TympanicSyntaxError("expected an integer after '-'", l2, c2)
-        toks.next()
-        return ForeignLit("int", -int(v2))
+        if toks.peek()[0] != "int":
+            toks.fail("expected an integer after '-'")
+        return ForeignLit("int", -int(toks.next()[1]))
     if kind == "int":
         toks.next()
         return ForeignLit("int", int(value))
@@ -659,19 +595,19 @@ def _parse_foreign_literal(toks: _Tokens) -> ForeignLit:
         path = [toks.next()[1]]
         while toks.peek()[1] == ".":
             toks.next()
-            path.append(toks.ident("a path component"))
+            path.append(_ident(toks, "a path component"))
         return ForeignLit("path", tuple(path))
-    raise TympanicSyntaxError(f"expected a value literal, got {value!r}", line, col)
+    toks.fail(f"expected a value literal, got {value!r}")
 
 
-def _parse_arg(toks: _Tokens) -> TemplateArg:
-    first = toks.ident("an argument name")
+def _parse_arg(toks: TokenReader) -> TemplateArg:
+    first = _ident(toks, "an argument name")
     if toks.peek()[0] != "ident":
         return TemplateArg(first)
     # Inline enum form: Type name = ctor()
     arg_name = toks.next()[1]
     toks.expect("=")
-    ctor = toks.ident("an enum constructor")
+    ctor = _ident(toks, "an enum constructor")
     toks.expect("(")
     if toks.peek()[1] != ")":
         toks.fail("inline enum values must be nullary constructor literals")

@@ -6,6 +6,7 @@ import itertools
 import json
 import re
 import struct
+from dataclasses import dataclass
 
 from csbb.concrete import (
     ConcretePattern,
@@ -19,6 +20,7 @@ from csbb.concrete import (
     TextChunk,
     UnterminatedHole,
 )
+from csbb.exprlang import ExprLangSyntaxError
 from csbb.jsonlang import (
     JSON_SIGNATURE,
     JsonSyntaxError,
@@ -53,11 +55,14 @@ from csbb.patterns import (
 )
 from csbb.terms import (
     MAYBE_TYPE,
+    PRIM_KINDS,
+    ArgType,
     Con,
     Constructor,
     ListTerm,
     Prim,
     Signature,
+    SignatureSyntaxError,
     TypeIssue,
     _describe,
     adt,
@@ -66,13 +71,17 @@ from csbb.terms import (
     encode_term,
     format_real,
     just_,
+    list_of,
+    maybe_of,
     nothing_,
+    prim,
     render_signature,
     term_root_type,
 )
 from csbb.tympanic import (
     ArityMismatch,
     CastFailure,
+    ClassMapping,
     EnumType,
     FArr,
     FBool,
@@ -81,10 +90,16 @@ from csbb.tympanic import (
     FObj,
     FReal,
     FStr,
+    FieldSpec,
+    ForeignLit,
     MarshalError,
     NoApplicableRule,
     NullNotOptional,
+    Rule,
     SchemaError,
+    TemplateArg,
+    TympanicSpec,
+    TympanicSyntaxError,
     _field_argtype,
     _mapped_adt,
 )
@@ -1203,3 +1218,519 @@ def parse_prop_oracle(text: str) -> Term:
     if len(props) != 1:
         raise JsonSyntaxError(f"expected exactly one property, found {len(props)}", 1, 1)
     return props[0]
+
+
+# ---------------------------------------------------------------------------
+# The three hand-written lexers and their parsers as they were before all
+# three moved onto the one token reader (csbb.lexing.TokenReader): signature
+# files (csbb.terms), mapping files (csbb.tympanic) and the ExprLang child
+# (csbb.exprlang). Verbatim but for the names, which carry an oracle suffix.
+
+_SIG_TOKEN_ORACLE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[=|(),;\[\]]|::|\S")
+
+
+class _SigTokensOracle:
+    def __init__(self, text: str):
+        self.toks: list = []  # (value, line, col)
+        line, col = 1, 1
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch == "\n":
+                line += 1
+                col = 1
+                i += 1
+                continue
+            if ch in " \t\r":
+                i += 1
+                col += 1
+                continue
+            if ch == "#":
+                while i < len(text) and text[i] != "\n":
+                    i += 1
+                continue
+            m = _SIG_TOKEN_ORACLE.match(text, i)
+            tok = m.group()
+            self.toks.append((tok, line, col))
+            i += len(tok)
+            col += len(tok)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def next(self, expected: str | None = None) -> str:
+        if self.pos >= len(self.toks):
+            last = self.toks[-1] if self.toks else ("", 1, 1)
+            raise SignatureSyntaxError(
+                f"unexpected end of input, expected {expected or 'a token'}", last[1], last[2]
+            )
+        tok, line, col = self.toks[self.pos]
+        if expected is not None and tok != expected:
+            raise SignatureSyntaxError(f"expected {expected!r}, got {tok!r}", line, col)
+        self.pos += 1
+        return tok
+
+    def error(self, message: str):
+        if self.pos < len(self.toks):
+            _, line, col = self.toks[self.pos]
+        else:
+            line, col = 1, 1
+        raise SignatureSyntaxError(message, line, col)
+
+
+_SIG_IDENT_ORACLE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def parse_signature_oracle(text: str) -> Signature:
+    """Parse `data T = c(...) | ...;` declarations into a Signature."""
+    toks = _SigTokensOracle(text)
+    if toks.peek() == "module":
+        toks.next()
+        toks.next()  # first name component
+        while toks.peek() == "::":
+            toks.next()
+            toks.next()
+    types: list = []
+    cons: list = []
+    while toks.peek() is not None:
+        toks.next("data")
+        type_name = toks.next()
+        if not _SIG_IDENT_ORACLE.match(type_name):
+            toks.error(f"bad type name {type_name!r}")
+        types.append(type_name)
+        toks.next("=")
+        while True:
+            cons.append(_parse_ctor_oracle(toks, type_name))
+            if toks.peek() == "|":
+                toks.next()
+                continue
+            break
+        toks.next(";")
+    return Signature(frozenset(types), tuple(cons))
+
+
+def _parse_ctor_oracle(toks: _SigTokensOracle, type_name: str) -> Constructor:
+    name = toks.next()
+    if not _SIG_IDENT_ORACLE.match(name):
+        toks.error(f"bad constructor name {name!r}")
+    toks.next("(")
+    args: list = []
+    if toks.peek() != ")":
+        while True:
+            at = _parse_argtype_oracle(toks)
+            arg_name = toks.next()
+            if not _SIG_IDENT_ORACLE.match(arg_name):
+                toks.error(f"bad argument name {arg_name!r}")
+            args.append((arg_name, at))
+            if toks.peek() == ",":
+                toks.next()
+                continue
+            break
+    toks.next(")")
+    return Constructor(name, type_name, tuple(args))
+
+
+def _parse_argtype_oracle(toks: _SigTokensOracle) -> ArgType:
+    tok = toks.next()
+    if tok in PRIM_KINDS:
+        return prim(tok)
+    if tok == "list":
+        toks.next("[")
+        elem = _parse_argtype_oracle(toks)
+        toks.next("]")
+        return list_of(elem)
+    if tok == MAYBE_TYPE and toks.peek() == "[":
+        toks.next("[")
+        elem = _parse_argtype_oracle(toks)
+        toks.next("]")
+        return maybe_of(elem)
+    if not _SIG_IDENT_ORACLE.match(tok):
+        toks.error(f"bad argument type {tok!r}")
+    return adt(tok)
+
+
+_T_SYMBOLS_ORACLE = ("=>", "==", "!=", "::", "-", ",", ":", "%", "(", ")", "[", "]", "?", ".", "=")
+_T_KEYWORDS_ORACLE = {"mapping", "import", "export", "types", "constructors"}
+_T_IDENT_ORACLE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_T_INT_ORACLE = re.compile(r"[0-9]+")
+
+
+class _TokensOracle:
+    def __init__(self, text: str):
+        self.toks: list = []  # (kind, value, line, col)
+        line, col, i = 1, 1, 0
+        while i < len(text):
+            ch = text[i]
+            if ch == "\n":
+                line, col, i = line + 1, 1, i + 1
+                continue
+            if ch in " \t\r":
+                col, i = col + 1, i + 1
+                continue
+            if ch == "#":
+                while i < len(text) and text[i] != "\n":
+                    i += 1
+                continue
+            m = _T_IDENT_ORACLE.match(text, i)
+            if m:
+                value = m.group()
+                kind = "keyword" if value in _T_KEYWORDS_ORACLE else "ident"
+                self.toks.append((kind, value, line, col))
+                i += len(value)
+                col += len(value)
+                continue
+            m = _T_INT_ORACLE.match(text, i)
+            if m:
+                self.toks.append(("int", m.group(), line, col))
+                i += len(m.group())
+                col += len(m.group())
+                continue
+            for sym in _T_SYMBOLS_ORACLE:
+                if text.startswith(sym, i):
+                    self.toks.append(("sym", sym, line, col))
+                    i += len(sym)
+                    col += len(sym)
+                    break
+            else:
+                raise TympanicSyntaxError(f"stray character {ch!r}", line, col)
+        self.toks.append(("eof", "", line, col))
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        if tok[0] != "eof":
+            self.pos += 1
+        return tok
+
+    def fail(self, message: str):
+        _, _, line, col = self.peek()
+        raise TympanicSyntaxError(message, line, col)
+
+    def expect(self, value: str) -> str:
+        kind, v, line, col = self.peek()
+        if v != value:
+            raise TympanicSyntaxError(f"expected {value!r}, got {v or 'end of input'!r}", line, col)
+        self.next()
+        return v
+
+    def ident(self, what: str) -> str:
+        kind, v, line, col = self.peek()
+        if kind != "ident":
+            raise TympanicSyntaxError(f"expected {what}, got {v or 'end of input'!r}", line, col)
+        self.next()
+        return v
+
+
+def parse_tympanic_oracle(text: str) -> TympanicSpec:
+    """Parse a mapping file into its spec AST."""
+    toks = _TokensOracle(text)
+    toks.expect("mapping")
+    name = toks.ident("a mapping name")
+
+    imports: list = []
+    while toks.peek()[1] == "import":
+        toks.next()
+        path = [toks.ident("a package name")]
+        while toks.peek()[1] == ".":
+            toks.next()
+            path.append(toks.ident("a package name"))
+        imports.append(tuple(path))
+
+    toks.expect("export")
+    export = [toks.ident("a module name")]
+    while toks.peek()[1] == "::":
+        toks.next()
+        export.append(toks.ident("a module name"))
+
+    toks.expect("types")
+    types: list = []
+    while toks.peek()[0] == "ident":
+        foreign = toks.ident("a foreign type")
+        toks.expect("=>")
+        mapped = toks.ident("a data type")
+        if any(f == foreign for f, _ in types):
+            toks.fail(f"duplicate type mapping for {foreign}")
+        types.append((foreign, mapped))
+
+    toks.expect("constructors")
+    # Rule groups for one class may appear more than once; they merge in
+    # textual order, which keeps "first applicable rule" well defined.
+    order: list = []
+    grouped: dict = {}
+    while toks.peek()[0] == "ident":
+        class_name = toks.next()[1]
+        rules: list = []
+        while toks.peek()[1] == "-":
+            toks.next()
+            rules.append(_parse_rule_oracle(toks))
+        if not rules:
+            toks.fail(f"class {class_name} has no rules")
+        if class_name not in grouped:
+            order.append(class_name)
+            grouped[class_name] = []
+        grouped[class_name].extend(rules)
+    if toks.peek()[0] != "eof":
+        toks.fail("expected a class name or end of input")
+    mappings = tuple(ClassMapping(c, tuple(grouped[c])) for c in order)
+    return TympanicSpec(name, tuple(imports), tuple(export), tuple(types), mappings)
+
+
+def _parse_rule_oracle(toks: _TokensOracle) -> Rule:
+    fields: list = []
+    if toks.peek()[1] != ":":
+        while True:
+            fields.append(_parse_field_oracle(toks))
+            if toks.peek()[1] == ",":
+                toks.next()
+                continue
+            break
+    toks.expect(":")
+    ctor = toks.ident("a constructor name")
+    toks.expect("(")
+    args: list = []
+    if toks.peek()[1] != ")":
+        while True:
+            args.append(_parse_arg_oracle(toks))
+            if toks.peek()[1] == ",":
+                toks.next()
+                continue
+            break
+    toks.expect(")")
+    return Rule(tuple(fields), ctor, tuple(args))
+
+
+def _parse_field_oracle(toks: _TokensOracle) -> FieldSpec:
+    skip = False
+    if toks.peek()[1] == "%":
+        toks.next()
+        skip = True
+    if toks.peek()[1] == "(":
+        toks.next()
+        target = toks.ident("a cast target type")
+        kind = "cast"
+        if toks.peek()[1] == "[":
+            toks.next()
+            toks.expect("]")
+            kind = "cast_array"
+        toks.expect(")")
+        member = toks.ident("a member name")
+        return FieldSpec(member, kind, skip, cast_to=target)
+    member = toks.ident("a member name")
+    nxt = toks.peek()[1]
+    if nxt == "==":
+        toks.next()
+        return FieldSpec(member, "eq", skip, literal=_parse_foreign_literal_oracle(toks))
+    if nxt == "!=":
+        toks.next()
+        return FieldSpec(member, "neq", skip, literal=_parse_foreign_literal_oracle(toks))
+    if nxt == "?":
+        toks.next()
+        return FieldSpec(member, "optional", skip)
+    return FieldSpec(member, "plain", skip)
+
+
+def _parse_foreign_literal_oracle(toks: _TokensOracle) -> ForeignLit:
+    kind, value, line, col = toks.peek()
+    if value == "null":
+        toks.next()
+        return ForeignLit("null")
+    if value in ("true", "false"):
+        toks.next()
+        return ForeignLit("bool", value == "true")
+    if value == "-":
+        toks.next()
+        k2, v2, l2, c2 = toks.peek()
+        if k2 != "int":
+            raise TympanicSyntaxError("expected an integer after '-'", l2, c2)
+        toks.next()
+        return ForeignLit("int", -int(v2))
+    if kind == "int":
+        toks.next()
+        return ForeignLit("int", int(value))
+    if kind == "ident":
+        path = [toks.next()[1]]
+        while toks.peek()[1] == ".":
+            toks.next()
+            path.append(toks.ident("a path component"))
+        return ForeignLit("path", tuple(path))
+    raise TympanicSyntaxError(f"expected a value literal, got {value!r}", line, col)
+
+
+def _parse_arg_oracle(toks: _TokensOracle) -> TemplateArg:
+    first = toks.ident("an argument name")
+    if toks.peek()[0] != "ident":
+        return TemplateArg(first)
+    # Inline enum form: Type name = ctor()
+    arg_name = toks.next()[1]
+    toks.expect("=")
+    ctor = toks.ident("an enum constructor")
+    toks.expect("(")
+    if toks.peek()[1] != ")":
+        toks.fail("inline enum values must be nullary constructor literals")
+    toks.expect(")")
+    return TemplateArg(arg_name, enum_type=first, enum_ctor=ctor)
+
+
+_EXPR_TOKEN_ORACLE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[+(){};]|\S")
+_EXPR_KEYWORDS_ORACLE = {"void", "while"}
+
+
+@dataclass(frozen=True)
+class _TokOracle:
+    value: str
+    kind: str  # ident | int | punct | keyword
+    line: int
+    col: int
+
+
+def _lex_oracle(src: str) -> list:
+    toks: list = []
+    line, col, i = 1, 1, 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            col, i = col + 1, i + 1
+            continue
+        m = _EXPR_TOKEN_ORACLE.match(src, i)
+        value = m.group()
+        if value in _EXPR_KEYWORDS_ORACLE:
+            kind = "keyword"
+        elif value[0].isdigit():
+            kind = "int"
+        elif value[0].isalpha() or value[0] == "_":
+            kind = "ident"
+        elif value in "+(){};":
+            kind = "punct"
+        else:
+            raise ExprLangSyntaxError(f"stray character {value!r}", line, col)
+        toks.append(_TokOracle(value, kind, line, col))
+        i += len(value)
+        col += len(value)
+    toks.append(_TokOracle("", "eof", line, col))
+    return toks
+
+
+class _ExprParserOracle:
+    """Whole-program recursive descent: void name() { stm* }."""
+
+    def __init__(self, src: str):
+        self.toks = _lex_oracle(src)
+        self.pos = 0
+
+    def peek(self) -> _TokOracle:
+        return self.toks[self.pos]
+
+    def next(self) -> _TokOracle:
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str):
+        tok = self.peek()
+        raise ExprLangSyntaxError(message, tok.line, tok.col)
+
+    def expect(self, value: str) -> _TokOracle:
+        tok = self.peek()
+        if tok.value != value:
+            self.fail(f"expected {value!r}, got {tok.value or 'end of input'!r}")
+        return self.next()
+
+    def program(self) -> list:
+        self.expect("void")
+        name = self.peek()
+        if name.kind != "ident":
+            self.fail("expected a function name")
+        self.next()
+        self.expect("(")
+        self.expect(")")
+        self.expect("{")
+        stms = self.statements()
+        self.expect("}")
+        if self.peek().kind != "eof":
+            self.fail("trailing content after the function body")
+        return stms
+
+    def statements(self) -> list:
+        stms: list = []
+        while self.peek().value not in ("}", ""):
+            stms.append(self.statement())
+        return stms
+
+    def statement(self) -> Term:
+        tok = self.peek()
+        if tok.value == "while":
+            self.next()
+            self.expect("(")
+            cond = self.expression()
+            self.expect(")")
+            self.expect("{")
+            body = self.statements()
+            self.expect("}")
+            return Con("whileStm", "Stm", (cond, ListTerm(tuple(body), adt("Stm"))))
+        if tok.value == "{":
+            self.next()
+            stms = self.statements()
+            self.expect("}")
+            return Con("block", "Stm", (ListTerm(tuple(stms), adt("Stm")),))
+        expr = self.expression()
+        self.expect(";")
+        return Con("exprStm", "Stm", (expr,))
+
+    def expression(self) -> Term:
+        left = self.atom()
+        while self.peek().value == "+":
+            self.next()
+            left = Con("add", "Expr", (left, self.atom()))
+        return left
+
+    def atom(self) -> Term:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.next()
+            return Con("intLit", "Expr", (Prim("int", int(tok.value)),))
+        if tok.kind == "ident":
+            self.next()
+            return Con("varRef", "Expr", (Prim("str", tok.value),))
+        if tok.value == "(":
+            self.next()
+            e = self.expression()
+            self.expect(")")
+            return e
+        self.fail("expected an expression")
+
+
+_WRAP_PREFIX_ORACLE = "void dummy() { "
+
+
+def _adjust_oracle(e: ExprLangSyntaxError, extra: int = 0) -> ExprLangSyntaxError:
+    # Errors are reported against the wrapped program; shift line-1 columns
+    # back so positions point into the user's fragment.
+    col = e.col - len(_WRAP_PREFIX_ORACLE) - extra if e.line == 1 else e.col
+    return ExprLangSyntaxError(e.message, e.line, max(col, 1))
+
+
+def parse_stm_oracle(text: str) -> Term:
+    try:
+        stms = _ExprParserOracle(_WRAP_PREFIX_ORACLE + text + " }").program()
+    except ExprLangSyntaxError as e:
+        raise _adjust_oracle(e) from None
+    if len(stms) != 1:
+        raise ExprLangSyntaxError(f"fragment is {len(stms)} statements, expected one", 1, 1)
+    return stms[0]
+
+
+def parse_expr_oracle(text: str) -> Term:
+    try:
+        stms = _ExprParserOracle(_WRAP_PREFIX_ORACLE + text + "; }").program()
+    except ExprLangSyntaxError as e:
+        raise _adjust_oracle(e) from None
+    if len(stms) != 1 or stms[0].name != "exprStm":
+        raise ExprLangSyntaxError("fragment is not a single expression", 1, 1)
+    return stms[0].args[0]

@@ -69,6 +69,11 @@ def test_parse_from_file(capsys, rodin_file):
     assert code == 0 and out == RODIN_PRETTY + "\n"
 
 
+def test_parse_reads_a_document_as_plain_text(capsys):
+    code, out, err = run(capsys, "parse", "--lang", "JSON", "--text", '{"a": "x<y"}')
+    assert (code, err) == (0, "") and out == 'object([prop(id("a"),string("x<y"))])\n'
+
+
 def test_parse_statement_through_subprocess_config(capsys, exprlang_config):
     code, out, _ = run(
         capsys, "--config", exprlang_config,
@@ -115,6 +120,15 @@ def test_match_binds_variables(capsys, rodin_file):
         "--pattern", "{<Prop* _>, age: <JSON a>, <Prop* _>}", "--input", rodin_file,
     )
     assert code == 0 and out == "a = number(29.0)\n"
+
+
+def test_match_reads_the_input_as_plain_text(capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"a": "x<JSON y>", b: 1}')
+    code, out, _ = run(
+        capsys, "match", "--lang", "JSON", "--pattern", "{<Prop* _>, b: <JSON v>}", "--input", str(doc)
+    )
+    assert code == 0 and out == "v = number(1.0)\n"
 
 
 def test_match_failure_exits_1(capsys, tmp_path):
@@ -209,6 +223,13 @@ def test_construct_ill_typed_bind_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_construct_over_deep_bind_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.term"
+    deep.write_text("array([" * 600 + "])" * 600)
+    code, out, err = run(capsys, "construct", "--lang", "JSON", "--pattern", "<JSON x>", "--bind", f"x={deep}")
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "input nests too deeply" in err
+
+
 def test_match_then_construct_roundtrip(capsys, tmp_path):
     source = tmp_path / "obj.json"
     source.write_text('{a: [1, true], b: null}')
@@ -292,7 +313,7 @@ def test_tympanic_marshal(capsys, expr_fixture, tmp_path):
 
 def test_tympanic_marshal_over_deep_value_exits_2(capsys, expr_fixture, tmp_path):
     value = tmp_path / "chain.fv"
-    value.write_text(binary_chain_text(600))
+    value.write_text(binary_chain_text(10_000))
     spec, schema = expr_fixture
     code, out, err = run(
         capsys, "tympanic", "marshal", "--spec", spec, "--schema", schema, "--value", str(value)

@@ -93,6 +93,21 @@ def test_expr_error_position_points_into_fragment():
     assert 1 <= exc.value.col <= 3
 
 
+@pytest.mark.parametrize("text, error", [
+    ("x;\f", "line 1, col 3: stray character '\\x0c'"),
+    ("x;\xa0", "line 1, col 3: stray character '\\xa0'"),
+    ("x;\n\u2028", "line 2, col 1: stray character '\\u2028'"),
+    ("x + \u00b2;", "line 1, col 5: stray character '\u00b2'"),
+    ("\u00e9;", "line 1, col 1: stray character '\u00e9'"),
+    ("\u0663;", "line 1, col 1: stray character '\u0663'"),
+    ("x $ \u00e9;", "line 1, col 3: stray character '$'"),
+])
+def test_tokens_are_ascii(text, error):
+    with pytest.raises(ExprLangSyntaxError) as exc:
+        parse_stm(text)
+    assert str(exc.value) == error
+
+
 def test_outputs_are_well_typed():
     for text, nt in [("while (x) { y; }", "Stm"), ("{ }", "Stm"), ("1+x+2", "Expr")]:
         t = parse_stm(text) if nt == "Stm" else parse_expr(text)
@@ -171,6 +186,28 @@ def test_protocol_over_real_pipes():
     assert replies[1]["ok"] is False and replies[1]["line"] >= 1
     assert replies[2]["ok"] is True
     assert term_equals(term_from_wire(replies[2]["term"]), add(varref("a"), varref("b")))
+
+
+def test_child_answers_a_stray_character_and_keeps_serving():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "csbb.exprlang"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        encoding="utf-8",
+    )
+    try:
+        for text in ("x;\f", "1;"):
+            proc.stdin.write(json.dumps({"nonterminal": "Stm", "text": text}) + "\n")
+        proc.stdin.flush()
+        replies = [json.loads(proc.stdout.readline()) for _ in range(2)]
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert proc.returncode == 0
+    assert replies[0] == {"ok": False, "line": 1, "col": 3, "message": "stray character '\\x0c'"}
+    assert term_from_wire(replies[1]["term"]) == exprstm(intlit(1))
 
 
 def test_child_survives_over_deep_input(exprlang_config):

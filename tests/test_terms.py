@@ -439,3 +439,27 @@ def test_parse_signature_error_has_position():
     with pytest.raises(SignatureSyntaxError) as exc:
         parse_signature("data T = leaf(int n) leaf2();")
     assert exc.value.line == 1 and exc.value.col > 1
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    ("data 1 = c();", 1, 6, "bad type name '1'"),
+    ("data T = c(int 2, int y);", 1, 16, "bad argument name '2'"),
+    ("data T = c($ x);", 1, 12, "bad argument type '$'"),
+    ("data T = 1", 1, 10, "bad constructor name '1'"),
+    ("data T =\n  c(int x)\n| 9;", 3, 3, "bad constructor name '9'"),
+])
+def test_signature_error_points_at_the_named_token(text, line, col, message):
+    with pytest.raises(SignatureSyntaxError) as exc:
+        parse_signature(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("data T = c(", "line 1, col 11: unexpected end of input, expected a token"),
+    ("data T = c();\f", "line 1, col 14: expected 'data', got '\\x0c'"),
+    ("data T = c(int\xa0x);", "line 1, col 15: bad argument name '\\xa0'"),
+])
+def test_signature_reader_edge_positions(text, error):
+    with pytest.raises(SignatureSyntaxError) as exc:
+        parse_signature(text)
+    assert str(exc.value) == error

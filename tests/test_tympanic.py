@@ -846,9 +846,9 @@ def test_very_deep_chain_loads():
 
 def test_over_deep_text_is_a_schema_error():
     with pytest.raises(SchemaError, match="foreign value nests too deeply"):
-        load_foreign_value(binary_chain_text(600))
+        load_foreign_value(binary_chain_text(10_000))
     with pytest.raises(SchemaError, match="schema nests too deeply"):
-        load_schema('{"types": ' + "[" * 2000 + "]" * 2000 + "}")
+        load_schema('{"types": ' + "[" * 10_000 + "]" * 10_000 + "}")
 
 
 def test_plan_is_built_once_per_spec_and_schema(monkeypatch):

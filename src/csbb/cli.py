@@ -96,14 +96,18 @@ def cmd_match(args) -> int:
     finally:
         reg.close()
     envs = match(pattern, subject)
-    first = next(envs, None)
-    if first is None:
-        return 1
-    _print_env(first)
-    if args.all:
-        for env in envs:
-            print()
-            _print_env(env)
+    try:
+        first = next(envs, None)
+        if first is None:
+            return 1
+        _print_env(first)
+        if args.all:
+            for env in envs:
+                print()
+                _print_env(env)
+    except PatternStructureError as e:
+        _err(str(e))
+        return 2
     return 0
 
 

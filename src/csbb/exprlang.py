@@ -111,8 +111,7 @@ class _Parser(TokenReader):
     def atom(self) -> Term:
         kind, value, _ = self.peek()
         if kind == "int":
-            self.next()
-            return Con("intLit", "Expr", (Prim("int", int(value)),))
+            return Con("intLit", "Expr", (Prim("int", self.integer(self.next())),))
         if kind == "ident":
             self.next()
             return Con("varRef", "Expr", (Prim("str", value),))

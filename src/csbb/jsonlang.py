@@ -7,8 +7,10 @@ primitive. Object properties keep their source order.
 
 from __future__ import annotations
 
-import math
+import re
+from json.decoder import scanstring
 from json.encoder import encode_basestring  # JSON string syntax, quotes included
+from math import isfinite
 
 from .concrete import ParserError, ParserRegistry, make_parse_fn
 from .lexing import line_col
@@ -80,196 +82,219 @@ class JsonSyntaxError(ParserError):
     pass
 
 
-_WS = " \t\n\r"
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+# One token at a time: whitespace, then a string, a number, a word or a mark.
+# The string alternatives take only strings that parse: group 1 a string with
+# no backslash, group 2 one with escapes, where a surrogate escape must be a
+# high-low pair; json's scanstring decodes those. A number may not run on into
+# '.', 'e' or a digit. Where no alternative matches, the character-level
+# readers below find the error.
+_TOKEN = re.compile(
+    r"""[ \t\n\r]*(?:
+      "([^"\\\x00-\x1f]*)"
+    | ("[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u(?![dD][89a-fA-F])[0-9a-fA-F]{4}
+          |u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2})[^"\\\x00-\x1f]*)*")
+    | (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)(?![.eE0-9])
+    | ([A-Za-z_][A-Za-z0-9_]*)
+    | ([][{}:,])
+    )""",
+    re.VERBOSE,
+)
+_WS = (" ", "\t", "\n", "\r")
+
+# What the reader expects next, and what it says when that is missing.
+_VALUE, _VALUE_OR_CLOSE, _KEY, _KEY_OR_CLOSE, _COLON, _AFTER = range(6)
+_MISSING = ("expected a JSON value",) * 2 + ("expected a property name",) * 2 + ("expected ':'",)
+
+_JSON, _PROP = adt("JSON"), adt("Prop")
+_WORDS = {"true": boolean(True), "false": boolean(False), "null": null_()}
 
 
-class _JsonParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _fail(text: str, message: str, pos: int):
+    raise JsonSyntaxError(message, *line_col(text, pos))
 
-    def fail(self, message: str, pos: int | None = None):
-        raise JsonSyntaxError(message, *line_col(self.text, self.pos if pos is None else pos))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in _WS:
-            self.pos += 1
+def _fail_token(text: str, m: re.Match, message: str):
+    """Fail at the token m matched, after its leading whitespace."""
+    _fail(text, message, _skip_ws(text, m.start()))
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
+def _skip_ws(text: str, pos: int) -> int:
+    while text.startswith(_WS, pos):
+        pos += 1
+    return pos
 
-    def value(self) -> Term:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "{":
-            return self.object()
-        if ch == "[":
-            return self.array()
-        if ch == '"':
-            return string(self.string_lit())
-        if ch in _DIGITS or ch == "-":
-            return number(self.number_lit())
-        if ch in _IDENT_START:
-            word = self.ident()
-            if word == "true":
-                return boolean(True)
-            if word == "false":
-                return boolean(False)
-            if word == "null":
-                return null_()
-            self.fail(f"unexpected identifier {word!r}", self.pos - len(word))
-        self.fail("expected a JSON value")
 
-    def object(self) -> Term:
-        self.expect("{")
-        props: list = []
-        self.skip_ws()
-        if self.peek() == "}":
-            self.pos += 1
-            return obj(props)
-        while True:
-            props.append(self.prop())
-            self.skip_ws()
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            self.expect("}")
-            return obj(props)
+def _read_string(text: str, pos: int) -> tuple:
+    """The string whose opening quote is at pos, and the offset after it."""
+    start = pos
+    pos += 1
+    while True:
+        while pos < len(text) and text[pos] not in '"\\' and text[pos] >= " ":
+            pos += 1
+        if pos == len(text):
+            _fail(text, "unterminated string", pos)
+        if text[pos] == '"':
+            return scanstring(text, start + 1)
+        if text[pos] != "\\":
+            _fail(text, "control character in string", pos)
+        pos += 1
+        if pos == len(text):
+            _fail(text, "unterminated escape", pos)
+        ch = text[pos]
+        pos += 1
+        if ch in '"\\/bfnrt':
+            continue
+        if ch != "u":
+            _fail(text, f"invalid escape \\{ch}", pos - 1)
+        code = _hex4(text, pos)
+        pos += 4
+        if 0xD800 <= code <= 0xDBFF and text.startswith("\\u", pos):
+            low = _hex4(text, pos + 2)
+            pos += 6
+            if not 0xDC00 <= low <= 0xDFFF:
+                _fail(text, "invalid low surrogate", pos - 4)
+        elif 0xD800 <= code <= 0xDFFF:  # strings must encode to UTF-8 (RFC 8259, section 8.2)
+            _fail(text, "lone surrogate escape", pos - 6)
 
-    def prop(self) -> Term:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == '"':
-            key = self.string_lit()
-        elif ch in _IDENT_START:
-            key = self.ident()
-        else:
-            self.fail("expected a property name")
-        self.skip_ws()
-        self.expect(":")
-        return prop(key, self.value())
 
-    def array(self) -> Term:
-        self.expect("[")
-        elts: list = []
-        self.skip_ws()
-        if self.peek() == "]":
-            self.pos += 1
-            return array(elts)
-        while True:
-            elts.append(self.value())
-            self.skip_ws()
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            self.expect("]")
-            return array(elts)
+def _hex4(text: str, pos: int) -> int:
+    digits = text[pos:pos + 4]
+    if len(digits) < 4 or any(d not in "0123456789abcdefABCDEF" for d in digits):
+        _fail(text, "invalid \\u escape", pos)
+    return int(digits, 16)
 
-    def ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start:self.pos]
 
-    def string_lit(self) -> str:
-        self.expect('"')
-        out: list = []
-        while True:
-            if self.pos >= len(self.text):
-                self.fail("unterminated string")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return "".join(out)
-            if ch == "\\":
-                self.pos += 1
-                out.append(self.escape())
-            elif ord(ch) < 0x20:
-                self.fail("control character in string")
-            else:
-                out.append(ch)
-                self.pos += 1
+def _read_number(text: str, pos: int) -> tuple:
+    """The number that starts at pos, and the offset after it."""
+    start = pos
+    if text.startswith("-", pos):
+        pos += 1
+    if text.startswith("0", pos):
+        pos += 1
+    else:
+        pos = _digits(text, pos, "expected a digit")
+    if text.startswith(".", pos):
+        pos = _digits(text, pos + 1, "expected a digit after the decimal point")
+    if text.startswith(("e", "E"), pos):
+        pos += 2 if text.startswith(("+", "-"), pos + 1) else 1
+        pos = _digits(text, pos, "expected an exponent digit")
+    x = float(text[start:pos])
+    if not isfinite(x):
+        _fail(text, "number out of range", start)
+    return Con("number", "JSON", (Prim("real", x),)), pos
 
-    def escape(self) -> str:
-        if self.pos >= len(self.text):
-            self.fail("unterminated escape")
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch in _ESCAPES:
-            return _ESCAPES[ch]
-        if ch == "u":
-            start = self.pos - 2
-            code = self.hex4()
-            if 0xD800 <= code <= 0xDBFF and self.text[self.pos:self.pos + 2] == "\\u":
-                self.pos += 2
-                low = self.hex4()
-                if 0xDC00 <= low <= 0xDFFF:
-                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                else:
-                    self.fail("invalid low surrogate", self.pos - 4)
-            elif 0xD800 <= code <= 0xDFFF:  # strings must encode to UTF-8 (RFC 8259, section 8.2)
-                self.fail("lone surrogate escape", start)
-            return chr(code)
-        self.fail(f"invalid escape \\{ch}", self.pos - 1)
 
-    def hex4(self) -> int:
-        digits = self.text[self.pos:self.pos + 4]
-        if len(digits) < 4 or any(d not in "0123456789abcdefABCDEF" for d in digits):
-            self.fail("invalid \\u escape")
-        self.pos += 4
-        return int(digits, 16)
-
-    def number_lit(self) -> float:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        if self.peek() == "0":
-            self.pos += 1
-        elif self.peek() in _DIGITS:
-            while self.peek() in _DIGITS:
-                self.pos += 1
-        else:
-            self.fail("expected a digit")
-        if self.peek() == ".":
-            self.pos += 1
-            if self.peek() not in _DIGITS:
-                self.fail("expected a digit after the decimal point")
-            while self.peek() in _DIGITS:
-                self.pos += 1
-        if self.peek() in ("e", "E"):
-            self.pos += 1
-            if self.peek() in ("+", "-"):
-                self.pos += 1
-            if self.peek() not in _DIGITS:
-                self.fail("expected an exponent digit")
-            while self.peek() in _DIGITS:
-                self.pos += 1
-        x = float(self.text[start:self.pos])
-        if not math.isfinite(x):
-            self.fail("number out of range", start)
-        return x
+def _digits(text: str, pos: int, message: str) -> int:
+    end = pos
+    while end < len(text) and text[end] in "0123456789":
+        end += 1
+    if end == pos:
+        _fail(text, message, pos)
+    return end
 
 
 def parse_json(text: str) -> Term:
-    """Parse one JSON value (unquoted identifier keys allowed) to a term."""
-    p = _JsonParser(text)
-    try:
-        t = p.value()
-    except RecursionError:
-        p.fail("input nests too deeply")
-    p.skip_ws()
-    if p.pos != len(text):
-        p.fail("trailing content after JSON value")
-    return t
+    """Parse one JSON value (unquoted identifier keys allowed) to a term.
+
+    One loop reads a token at a time. The arrays and objects still open wait
+    on a list, so any depth parses.
+    """
+    match = _TOKEN.match
+    stack: list = []  # (items, in_object, key) of each enclosing array or object
+    items = None  # what the innermost open array or object holds so far; None at the top
+    in_object = False
+    key = None  # the key of the property whose value comes next
+    expect = _VALUE
+    pos = 0
+    while True:
+        m = match(text, pos)
+        if m is None:  # not a token, or one that does not parse
+            pos = _skip_ws(text, pos)
+            ch = text[pos:pos + 1]
+            if ch == '"' and expect < _COLON:
+                s, pos = _read_string(text, pos)
+                if expect >= _KEY:
+                    key = s
+                    expect = _COLON
+                    continue
+                v = Con("string", "JSON", (Prim("str", s),))
+            elif ch and ch in "-0123456789" and expect < _KEY:
+                v, pos = _read_number(text, pos)
+            elif expect == _AFTER:
+                _fail(text, "expected '}'" if in_object else "expected ']'", pos)
+            else:
+                _fail(text, _MISSING[expect], pos)
+        else:
+            token = m.lastindex
+            pos = m.end()
+            if expect == _AFTER:
+                mark = m[5]
+                if mark == ",":
+                    expect = _KEY if in_object else _VALUE
+                    continue
+                if in_object:
+                    if mark != "}":
+                        _fail_token(text, m, "expected '}'")
+                    v = Con("object", "JSON", (ListTerm(items, _PROP),))
+                else:
+                    if mark != "]":
+                        _fail_token(text, m, "expected ']'")
+                    v = Con("array", "JSON", (ListTerm(items, _JSON),))
+                items, in_object, key = stack.pop()
+            elif expect < _KEY:
+                if token == 1:
+                    v = Con("string", "JSON", (Prim("str", m[1]),))
+                elif token == 3:
+                    x = float(m[3])
+                    if not isfinite(x):
+                        _fail_token(text, m, "number out of range")
+                    v = Con("number", "JSON", (Prim("real", x),))
+                elif token == 4:
+                    v = _WORDS.get(m[4])
+                    if v is None:
+                        _fail_token(text, m, f"unexpected identifier {m[4]!r}")
+                elif token == 2:
+                    v = Con("string", "JSON", (Prim("str", scanstring(text, m.start(2) + 1)[0]),))
+                else:
+                    mark = m[5]
+                    if mark == "[" or mark == "{":
+                        stack.append((items, in_object, key))
+                        items = []
+                        in_object = mark == "{"
+                        expect = _KEY_OR_CLOSE if in_object else _VALUE_OR_CLOSE
+                        continue
+                    if mark != "]" or expect != _VALUE_OR_CLOSE:
+                        _fail_token(text, m, "expected a JSON value")
+                    v = Con("array", "JSON", (ListTerm((), _JSON),))
+                    items, in_object, key = stack.pop()
+            elif expect == _COLON:
+                if m[5] != ":":
+                    _fail_token(text, m, "expected ':'")
+                expect = _VALUE
+                continue
+            elif token == 1 or token == 4:
+                key = m[token]
+                expect = _COLON
+                continue
+            elif token == 2:
+                key = scanstring(text, m.start(2) + 1)[0]
+                expect = _COLON
+                continue
+            elif m[5] == "}" and expect == _KEY_OR_CLOSE:
+                v = Con("object", "JSON", (ListTerm((), _PROP),))
+                items, in_object, key = stack.pop()
+            else:
+                _fail_token(text, m, "expected a property name")
+        # v is a whole value: the text's, or the next in the innermost array or object
+        if items is None:
+            pos = _skip_ws(text, pos)
+            if pos != len(text):
+                _fail(text, "trailing content after JSON value", pos)
+            return v
+        if in_object:
+            v = Con("prop", "Prop", (Con("id", "Id", (Prim("str", key),)), v))
+        items.append(v)
+        expect = _AFTER
 
 
 def json_hole(i: int) -> str:

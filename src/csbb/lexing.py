@@ -74,3 +74,10 @@ class TokenReader:
         if v != value:
             self.fail(f"expected {value!r}, got {v or 'end of input'!r}")
         return self.next()
+
+    def integer(self, tok: tuple) -> int:
+        """The value of an integer token; one past int()'s digit limit fails at the token."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            self.fail("integer literal has too many digits", tok[2])

@@ -28,7 +28,8 @@ class MatchTypeError(Exception):
 
 
 class PatternStructureError(Exception):
-    """A structurally ill-formed pattern (e.g. a sequence variable outside a list)."""
+    """A structurally ill-formed pattern (e.g. a sequence variable outside a list),
+    or one that nests too deeply to match."""
 
 
 class UnboundVariable(Exception):
@@ -182,7 +183,19 @@ def match(p: Pattern, t: Term) -> Iterator[Env]:
     ptype = pattern_root_type(p)
     if not types_compatible(ptype, term_root_type(t)):
         raise MatchTypeError(f"pattern of type {ptype} cannot match term of type {term_root_type(t)}")
-    return _match(p, t, {})
+    return _too_deep_is_structural(_match(p, t, {}))
+
+
+# Matching recurses once per pattern level and per list element pattern; past
+# the recursion limit it raises this documented error, not a RecursionError.
+_TOO_DEEP = "pattern nests too deeply to match"
+
+
+def _too_deep_is_structural(envs: Iterator[Env]) -> Iterator[Env]:
+    try:
+        yield from envs
+    except RecursionError:
+        raise PatternStructureError(_TOO_DEEP) from None
 
 
 def match_first(p: Pattern, t: Term) -> Env | None:
@@ -298,7 +311,10 @@ def visit_collect(t: Term, p: Pattern) -> list:
         if env is not None:
             hits.append((tuple(path), env))
 
-    fold(t, leave)
+    try:
+        fold(t, leave)
+    except RecursionError:
+        raise PatternStructureError(_TOO_DEEP) from None
     return hits
 
 
@@ -333,4 +349,7 @@ def visit_rewrite(t: Term, rules: list) -> Term:
                 return instantiate(rhs, env)
         return node
 
-    return fold(t, leave)
+    try:
+        return fold(t, leave)
+    except RecursionError:
+        raise PatternStructureError(_TOO_DEEP) from None

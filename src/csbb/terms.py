@@ -102,8 +102,9 @@ def maybe_of(elem: ArgType) -> ArgType:
 
 # Terms compare and hash structurally with == and hash(). Reals compare by bit
 # pattern, which for finite floats is value and sign. == walks an explicit stack
-# of pairs, so it takes no Python stack per level. Con and ListTerm hash on
-# first use, not at construction, which would slow every parse.
+# of pairs, and hash a list of nodes, so neither takes Python stack per level.
+# Con and ListTerm hash on first use, not at construction, which would slow
+# every parse.
 def _equal(a: Term, b: Term) -> bool:
     """a == b for terms: structural, with reals compared by bit pattern."""
     pairs: list = []
@@ -139,76 +140,151 @@ def _equal(a: Term, b: Term) -> bool:
         x, y = pairs.pop()
 
 
-@dataclass(frozen=True, eq=False)
+def _stored_hash(t) -> int:
+    h = t._hash
+    return _hash_tree(t) if h is None else h
+
+
+def _tree_repr(t) -> str:
+    return emit(t, _repr_step, ", ")
+
+
+def _reduce(t):
+    """Pickle and copy through __init__, as frozen slots cannot be set otherwise."""
+    return t.__class__, tuple(getattr(t, name) for name in t.__match_args__)
+
+
+# The node classes keep dataclass fields, replace, pickle and frozen assignment,
+# but write their own __init__: storing through the slot descriptors costs about
+# half of the generated frozen __init__, and every parser builds many nodes.
+# _hash is None until the node is first hashed.
+@dataclass(frozen=True, eq=False, init=False)
 class Con:
     """A constructor application, e.g. Con("number", "JSON", (Prim("real", 29.0),))."""
 
+    __slots__ = ("name", "type", "args", "_hash")  # _hash: not a field; see _hash_tree
     name: str
     type: str
-    args: tuple = ()
-    _hash = None  # not a field; stored by __hash__, alike from racing threads
+    args: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, name: str, type: str, args: tuple = ()):
+        _set_con_name(self, name)
+        _set_con_type(self, type)
+        _set_con_args(self, tuple(args))
+        _set_con_hash(self, None)
 
     __eq__ = _equal
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.name, self.type))
-            for a in self.args:
-                h = hash((h, a.__hash__()))  # half the stack of hash(a)
-            self.__dict__["_hash"] = h
-        return h
+    __hash__ = _stored_hash
+    __repr__ = _tree_repr
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Prim:
     """A primitive leaf. kind selects among int/real/bool/str."""
 
+    __slots__ = ("kind", "value")
     kind: str
     value: int | float | bool | str
 
-    def __post_init__(self):
-        ok = (
-            (self.kind == "int" and type(self.value) is int)
-            or (self.kind == "real" and type(self.value) is float)
-            or (self.kind == "bool" and type(self.value) is bool)
-            or (self.kind == "str" and type(self.value) is str)
-        )
-        if not ok:
-            raise ValueError(f"{self.kind} primitive cannot hold {self.value!r}")
-        if self.kind == "real" and not math.isfinite(self.value):
+    def __init__(self, kind: str, value: int | float | bool | str):
+        t = type(value)
+        if not (
+            (t is float and kind == "real")
+            or (t is str and kind == "str")
+            or (t is int and kind == "int")
+            or (t is bool and kind == "bool")
+        ):
+            raise ValueError(f"{kind} primitive cannot hold {value!r}")
+        if t is float and not math.isfinite(value):
             raise ValueError("real primitives must be finite")
+        _set_prim_kind(self, kind)
+        _set_prim_value(self, value)
 
     __eq__ = _equal
 
     def __hash__(self) -> int:
         return hash((self.kind, self.value))
 
+    def __repr__(self) -> str:
+        return f"Prim(kind={self.kind!r}, value={self.value!r})"
 
-@dataclass(frozen=True, eq=False)
+    __reduce__ = _reduce
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ListTerm:
     """A homogeneous list; carries its element type so empty lists stay typable."""
 
+    __slots__ = ("elems", "elem_type", "_hash")  # _hash: not a field; see _hash_tree
     elems: tuple
     elem_type: ArgType
-    _hash = None  # not a field; stored by __hash__, alike from racing threads
 
-    def __post_init__(self):
-        object.__setattr__(self, "elems", tuple(self.elems))
+    def __init__(self, elems: tuple, elem_type: ArgType):
+        _set_list_elems(self, tuple(elems))
+        _set_list_elem_type(self, elem_type)
+        _set_list_hash(self, None)
 
     __eq__ = _equal
+    __hash__ = _stored_hash
+    __repr__ = _tree_repr
+    __reduce__ = _reduce
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.elem_type)
-            for e in self.elems:
-                h = hash((h, e.__hash__()))  # half the stack of hash(e)
-            self.__dict__["_hash"] = h
-        return h
+
+_set_con_name = Con.__dict__["name"].__set__
+_set_con_type = Con.__dict__["type"].__set__
+_set_con_args = Con.__dict__["args"].__set__
+_set_con_hash = Con.__dict__["_hash"].__set__
+_set_prim_kind = Prim.__dict__["kind"].__set__
+_set_prim_value = Prim.__dict__["value"].__set__
+_set_list_elems = ListTerm.__dict__["elems"].__set__
+_set_list_elem_type = ListTerm.__dict__["elem_type"].__set__
+_set_list_hash = ListTerm.__dict__["_hash"].__set__
+
+
+def _hash_tree(t) -> int:
+    """Store the hash of t and of every unhashed node below it; return t's.
+
+    A Con hashes as hash((name, type)) and a ListTerm as hash(elem_type), each
+    then folded with hash((h, child's hash)) over its children. The unhashed
+    nodes are listed breadth-first, so every node comes before its children,
+    and then hashed back to front. A node stores its hash once it is known,
+    alike from racing threads.
+    """
+    todo = [t]
+    for node in todo:  # the list grows while it is read
+        for k in (node.args if node.__class__ is Con else node.elems):
+            if k.__class__ is not Prim and k._hash is None:
+                todo.append(k)
+    for node in reversed(todo):
+        if node.__class__ is Con:
+            h = hash((node.name, node.type))
+            for k in node.args:
+                h = hash((h, hash((k.kind, k.value)) if k.__class__ is Prim else k._hash))
+            _set_con_hash(node, h)
+        else:
+            h = hash(node.elem_type)
+            for k in node.elems:
+                h = hash((h, hash((k.kind, k.value)) if k.__class__ is Prim else k._hash))
+            _set_list_hash(node, h)
+    return t._hash
+
+
+def _repr_step(t):
+    """The dataclass repr, for emit."""
+    c = t.__class__
+    if c is Con:
+        head, kids, tail = f"Con(name={t.name!r}, type={t.type!r}, args=(", t.args, ")"
+    elif c is ListTerm:
+        head, kids, tail = "ListTerm(elems=(", t.elems, f", elem_type={t.elem_type!r})"
+    else:
+        return repr(t)
+    if not all(k.__class__ in _NODES for k in kids):  # not a term: write the tuple by repr
+        return head[:-1] + repr(kids) + tail
+    return head, kids, ("," if len(kids) == 1 else "") + ")" + tail
+
+
+_NODES = (Con, Prim, ListTerm)
 
 
 Term = Con | Prim | ListTerm
@@ -281,10 +357,10 @@ def fold(t, leave, kids=children):
             frames[-1][2].append(r)
 
 
-def emit(t, step) -> str:
+def emit(t, step, sep: str = ",") -> str:
     """Pre-order rendering: step(node) gives a leaf's text, or (opener, kids, closer).
 
-    The kids are rendered between opener and closer, separated by commas.
+    The kids are rendered between opener and closer, separated by sep.
     """
     out: list = []
     append = out.append
@@ -303,7 +379,7 @@ def emit(t, step) -> str:
                 if n == 1:
                     stack.append(closer)
                 else:
-                    block = [","] * (2 * n - 1)  # closer, then kids[-1], ",", ..., kids[1], ","
+                    block = [sep] * (2 * n - 1)  # closer, then kids[-1], sep, ..., kids[1], sep
                     block[0] = closer
                     block[1::2] = kids[:0:-1]
                     stack += block

@@ -587,10 +587,9 @@ def _parse_foreign_literal(toks: TokenReader) -> ForeignLit:
         toks.next()
         if toks.peek()[0] != "int":
             toks.fail("expected an integer after '-'")
-        return ForeignLit("int", -int(toks.next()[1]))
+        return ForeignLit("int", -toks.integer(toks.next()))
     if kind == "int":
-        toks.next()
-        return ForeignLit("int", int(value))
+        return ForeignLit("int", toks.integer(toks.next()))
     if kind == "ident":
         path = [toks.next()[1]]
         while toks.peek()[1] == ".":

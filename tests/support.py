@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from csbb.jsonlang import (
     prop,
     string,
 )
+from csbb.lexing import line_col
 from csbb.patterns import (
     IllTypedRule,
     MatchTypeError,
@@ -1734,3 +1736,228 @@ def parse_expr_oracle(text: str) -> Term:
     if len(stms) != 1 or stms[0].name != "exprStm":
         raise ExprLangSyntaxError("fragment is not a single expression", 1, 1)
     return stms[0].args[0]
+
+
+# ---------------------------------------------------------------------------
+# The JSON parser as it was before it became one loop over a token regex and an
+# explicit stack: one recursive method per construct, one character at a time.
+# It raised "input nests too deeply" past about 494 levels. Verbatim but for
+# the names, which carry an oracle suffix.
+
+
+_WS_ORACLE = " \t\n\r"
+_IDENT_START_ORACLE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT_ORACLE = _IDENT_START_ORACLE | set("0123456789")
+_DIGITS_ORACLE = set("0123456789")
+_ESCAPES_ORACLE = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
+
+
+class _JsonParserOracle:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def fail(self, message: str, pos: int | None = None):
+        raise JsonSyntaxError(message, *line_col(self.text, self.pos if pos is None else pos))
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in _WS_ORACLE:
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str) -> None:
+        if self.peek() != ch:
+            self.fail(f"expected {ch!r}")
+        self.pos += 1
+
+    def value(self) -> Term:
+        self.skip_ws()
+        ch = self.peek()
+        if ch == "{":
+            return self.object()
+        if ch == "[":
+            return self.array()
+        if ch == '"':
+            return string(self.string_lit())
+        if ch in _DIGITS_ORACLE or ch == "-":
+            return number(self.number_lit())
+        if ch in _IDENT_START_ORACLE:
+            word = self.ident()
+            if word == "true":
+                return boolean(True)
+            if word == "false":
+                return boolean(False)
+            if word == "null":
+                return null_()
+            self.fail(f"unexpected identifier {word!r}", self.pos - len(word))
+        self.fail("expected a JSON value")
+
+    def object(self) -> Term:
+        self.expect("{")
+        props: list = []
+        self.skip_ws()
+        if self.peek() == "}":
+            self.pos += 1
+            return obj(props)
+        while True:
+            props.append(self.prop())
+            self.skip_ws()
+            if self.peek() == ",":
+                self.pos += 1
+                continue
+            self.expect("}")
+            return obj(props)
+
+    def prop(self) -> Term:
+        self.skip_ws()
+        ch = self.peek()
+        if ch == '"':
+            key = self.string_lit()
+        elif ch in _IDENT_START_ORACLE:
+            key = self.ident()
+        else:
+            self.fail("expected a property name")
+        self.skip_ws()
+        self.expect(":")
+        return prop(key, self.value())
+
+    def array(self) -> Term:
+        self.expect("[")
+        elts: list = []
+        self.skip_ws()
+        if self.peek() == "]":
+            self.pos += 1
+            return array(elts)
+        while True:
+            elts.append(self.value())
+            self.skip_ws()
+            if self.peek() == ",":
+                self.pos += 1
+                continue
+            self.expect("]")
+            return array(elts)
+
+    def ident(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT_ORACLE:
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def string_lit(self) -> str:
+        self.expect('"')
+        out: list = []
+        while True:
+            if self.pos >= len(self.text):
+                self.fail("unterminated string")
+            ch = self.text[self.pos]
+            if ch == '"':
+                self.pos += 1
+                return "".join(out)
+            if ch == "\\":
+                self.pos += 1
+                out.append(self.escape())
+            elif ord(ch) < 0x20:
+                self.fail("control character in string")
+            else:
+                out.append(ch)
+                self.pos += 1
+
+    def escape(self) -> str:
+        if self.pos >= len(self.text):
+            self.fail("unterminated escape")
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch in _ESCAPES_ORACLE:
+            return _ESCAPES_ORACLE[ch]
+        if ch == "u":
+            start = self.pos - 2
+            code = self.hex4()
+            if 0xD800 <= code <= 0xDBFF and self.text[self.pos:self.pos + 2] == "\\u":
+                self.pos += 2
+                low = self.hex4()
+                if 0xDC00 <= low <= 0xDFFF:
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                else:
+                    self.fail("invalid low surrogate", self.pos - 4)
+            elif 0xD800 <= code <= 0xDFFF:  # strings must encode to UTF-8 (RFC 8259, section 8.2)
+                self.fail("lone surrogate escape", start)
+            return chr(code)
+        self.fail(f"invalid escape \\{ch}", self.pos - 1)
+
+    def hex4(self) -> int:
+        digits = self.text[self.pos:self.pos + 4]
+        if len(digits) < 4 or any(d not in "0123456789abcdefABCDEF" for d in digits):
+            self.fail("invalid \\u escape")
+        self.pos += 4
+        return int(digits, 16)
+
+    def number_lit(self) -> float:
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        if self.peek() == "0":
+            self.pos += 1
+        elif self.peek() in _DIGITS_ORACLE:
+            while self.peek() in _DIGITS_ORACLE:
+                self.pos += 1
+        else:
+            self.fail("expected a digit")
+        if self.peek() == ".":
+            self.pos += 1
+            if self.peek() not in _DIGITS_ORACLE:
+                self.fail("expected a digit after the decimal point")
+            while self.peek() in _DIGITS_ORACLE:
+                self.pos += 1
+        if self.peek() in ("e", "E"):
+            self.pos += 1
+            if self.peek() in ("+", "-"):
+                self.pos += 1
+            if self.peek() not in _DIGITS_ORACLE:
+                self.fail("expected an exponent digit")
+            while self.peek() in _DIGITS_ORACLE:
+                self.pos += 1
+        x = float(self.text[start:self.pos])
+        if not math.isfinite(x):
+            self.fail("number out of range", start)
+        return x
+
+
+def parse_json_oracle(text: str) -> Term:
+    """Parse one JSON value (unquoted identifier keys allowed) to a term."""
+    p = _JsonParserOracle(text)
+    try:
+        t = p.value()
+    except RecursionError:
+        p.fail("input nests too deeply")
+    p.skip_ws()
+    if p.pos != len(text):
+        p.fail("trailing content after JSON value")
+    return t
+
+
+def term_hash_oracle(t) -> int:
+    """hash(t) by the recursive formula the node classes used before they hashed iteratively."""
+    if isinstance(t, Prim):
+        return hash((t.kind, t.value))
+    if isinstance(t, Con):
+        h = hash((t.name, t.type))
+        for a in t.args:
+            h = hash((h, term_hash_oracle(a)))
+        return h
+    h = hash(t.elem_type)
+    for e in t.elems:
+        h = hash((h, term_hash_oracle(e)))
+    return h
+
+
+def term_repr_oracle(t) -> str:
+    """repr(t) as the generated dataclass repr wrote it, recursively."""
+    if isinstance(t, Prim):
+        return f"Prim(kind={t.kind!r}, value={t.value!r})"
+    kids = t.args if isinstance(t, Con) else t.elems
+    inner = ", ".join(term_repr_oracle(k) for k in kids) + ("," if len(kids) == 1 else "")
+    if isinstance(t, Con):
+        return f"Con(name={t.name!r}, type={t.type!r}, args=({inner}))"
+    return f"ListTerm(elems=({inner}), elem_type={t.elem_type!r})"

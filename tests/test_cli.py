@@ -8,6 +8,7 @@ import pytest
 
 from support import EXPR_MAPPING, EXPR_MODULE, EXPR_SCHEMA, binary_chain_text, fobj, tokens
 from csbb.cli import main
+from csbb.jsonlang import parse_json, print_json
 
 RODIN_TEXT = '{name:"Rodin",age:29}'
 RODIN_PRETTY = 'object([prop(id("name"),string("Rodin")),prop(id("age"),number(29.0))])'
@@ -52,11 +53,17 @@ def test_parse_malformed_input(capsys):
 
 @pytest.mark.parametrize("text, error", [
     ("1E400", "col 1: number out of range"), ('"\\ud800"', "col 2: lone surrogate escape"),
-    pytest.param("[" * 600 + "]" * 600, ": input nests too deeply", id="600-deep"),
 ])
 def test_parse_unrepresentable_input_exits_2(capsys, text, error):
     code, out, err = run(capsys, "parse", "--lang", "JSON", "--text", text, "--out", "term")
     assert code == 2 and out == "" and error in err
+
+
+def test_parse_deep_input(capsys):
+    text = "[" * 600 + "]" * 600  # past the depth where the JSON parser used to stop
+    code, out, err = run(capsys, "parse", "--lang", "JSON", "--text", text)
+    assert (code, err) == (0, "") and out == "array([" * 599 + "array([])" + "])" * 599 + "\n"
+    assert print_json(parse_json(text)) == text
 
 
 def test_parse_wire_output(capsys):

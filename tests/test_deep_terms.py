@@ -1,4 +1,5 @@
-"""Every stage after parsing walks terms and patterns without Python recursion.
+"""The JSON parser and every stage after it but matching walk terms and patterns
+without Python recursion; matching past its depth fails with its documented error.
 
 Each test runs at CPython's default recursion limit on a term or pattern far
 deeper than that limit.
@@ -10,15 +11,18 @@ import sys
 
 import pytest
 
+from csbb.cli import main
 from csbb.concrete import default_registry, parse_term, to_pattern
-from csbb.jsonlang import JSON_SIGNATURE, array, null_, number, print_json
+from csbb.jsonlang import JSON_SIGNATURE, array, null_, number, obj, parse_json, print_json, prop
 from csbb.patterns import (
     PCon,
     PList,
     PLit,
     PVar,
+    PatternStructureError,
     PWild,
     instantiate,
+    match,
     match_first,
     pattern_has_wildcards,
     pattern_vars,
@@ -105,3 +109,44 @@ def test_non_linear_match_on_deep_equal_arrays():
     p = to_pattern("JSON", "{<Prop* _>, a: <JSON x>, <Prop* _>, b: <JSON x>, <Prop* _>}", reg)
     env = match_first(p, doc)
     assert env is not None and env["x"] == doc.args[0].elems[1].args[1]
+
+
+def test_parse_hash_and_repr():
+    t, expected = parse_json("[" * DEPTH + "0" + "]" * DEPTH), nested(number(0.0))
+    assert t == expected and hash(t) == hash(expected) == hash(t)
+    opener = "Con(name='array', type='JSON', args=(ListTerm(elems=("
+    closer = ",), elem_type=ArgType(kind='adt', name='JSON', elem=None)),))"
+    leaf = "Con(name='number', type='JSON', args=(Prim(kind='real', value=0.0),))"
+    assert repr(t) == opener * DEPTH + leaf + closer * DEPTH
+
+
+ROOTED = "{root: %s}" % ("[" * DEPTH + "<JSON x>" + "]" * DEPTH)
+
+
+@pytest.fixture(scope="module")
+def rooted_pattern():
+    """{root: [[...<JSON x>...]]}: only a subject's root object can match it deeply."""
+    return to_pattern("JSON", ROOTED, default_registry())
+
+
+def test_to_pattern(rooted_pattern):
+    assert pattern_vars(rooted_pattern) == {"x": ("var", adt("JSON"))}
+    [root] = rooted_pattern.args[0].elems
+    p = root.args[1]
+    for _ in range(DEPTH):
+        assert p.name == "array"
+        [p] = p.args[0].elems
+    assert p == PVar("x", adt("JSON"))
+
+
+def test_matching_past_its_depth_is_a_pattern_error(rooted_pattern, tmp_path, capsys):
+    p, t = rooted_pattern, obj([prop("root", nested(null_(), 1000))])
+    for run in (lambda: match_first(p, t), lambda: list(match(p, t)),
+                lambda: visit_collect(t, p), lambda: visit_rewrite(t, [(p, p)])):
+        with pytest.raises(PatternStructureError, match="^pattern nests too deeply to match$"):
+            run()
+    doc = tmp_path / "deep.json"
+    doc.write_text(print_json(t))
+    code = main(["match", "--lang", "JSON", "--pattern", ROOTED, "--input", str(doc)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "pattern nests too deeply to match\n")

@@ -188,7 +188,8 @@ def test_protocol_over_real_pipes():
     assert term_equals(term_from_wire(replies[2]["term"]), add(varref("a"), varref("b")))
 
 
-def test_child_answers_a_stray_character_and_keeps_serving():
+def _child_replies(requests: list) -> list:
+    """The replies of one child process to (nonterminal, text) requests, sent together."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "csbb.exprlang"],
         stdin=subprocess.PIPE,
@@ -197,17 +198,30 @@ def test_child_answers_a_stray_character_and_keeps_serving():
         encoding="utf-8",
     )
     try:
-        for text in ("x;\f", "1;"):
-            proc.stdin.write(json.dumps({"nonterminal": "Stm", "text": text}) + "\n")
+        for nonterminal, text in requests:
+            proc.stdin.write(json.dumps({"nonterminal": nonterminal, "text": text}) + "\n")
         proc.stdin.flush()
-        replies = [json.loads(proc.stdout.readline()) for _ in range(2)]
+        replies = [json.loads(proc.stdout.readline()) for _ in requests]
     finally:
         proc.stdin.close()
         proc.wait(timeout=10)
         proc.stdout.close()
     assert proc.returncode == 0
+    return replies
+
+
+def test_child_answers_a_stray_character_and_keeps_serving():
+    replies = _child_replies([("Stm", "x;\f"), ("Stm", "1;")])
     assert replies[0] == {"ok": False, "line": 1, "col": 3, "message": "stray character '\\x0c'"}
     assert term_from_wire(replies[1]["term"]) == exprstm(intlit(1))
+
+
+def test_child_answers_an_over_long_integer_and_keeps_serving():
+    # int() refuses more than 4,300 digits; the child reports it and serves on.
+    replies = _child_replies([("Expr", "1 + " + "9" * 5000), ("Expr", "1")])
+    assert replies[0] == {"ok": False, "line": 1, "col": 5,
+                          "message": "integer literal has too many digits"}
+    assert term_from_wire(replies[1]["term"]) == intlit(1)
 
 
 def test_child_survives_over_deep_input(exprlang_config):

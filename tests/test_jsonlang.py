@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+from collections import Counter
 
 import pytest
 
-from support import gen_json_term, outcome, parse_prop_oracle, print_json_oracle, term_equals
+from support import (
+    gen_json_term,
+    outcome,
+    parse_json_oracle,
+    parse_prop_oracle,
+    print_json_oracle,
+    term_equals,
+)
 from csbb.concrete import ParserError, default_registry
 from csbb.jsonlang import (
     JSON_SIGNATURE,
@@ -107,6 +117,96 @@ def test_output_is_well_typed():
     for _ in range(50):
         text = print_json(gen_json_term(rng, 3))
         assert check_term(JSON_SIGNATURE, parse_json(text), adt("JSON")) == []
+
+
+_NUMBERS = ["0", "-0", "12", "-3.25", "1e5", "2E-3", "0.5e+2", "1.0", "6.02e23", "1E300"]
+_PIECES = ["ab", " ", "é", "😀", "\\n", '\\"', "\\\\", "\\/", "\\t", "\\u00e9", "\\u0041",
+           "\\ud83d\\ude00", "\\uDBFF\\uDFFF"]
+_KEYS = ["a", "_k1", "true", "x9"]
+_SPACE = ["", "", " ", "\n", "\t ", "\r\n"]
+
+
+def _json_text(rng, depth: int) -> str:
+    """Seeded JSON text: quoted and bare keys, escapes, surrogate pairs, varied whitespace."""
+    def ws() -> str:
+        return rng.choice(_SPACE)
+
+    def string() -> str:
+        return '"' + "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 3))) + '"'
+
+    kind = rng.choice(["word", "number", "string"] + ["array", "object"] * (depth > 0))
+    if kind == "word":
+        return rng.choice(["true", "false", "null"])
+    if kind == "number":
+        return rng.choice(_NUMBERS)
+    if kind == "string":
+        return string()
+    n = rng.randint(0, 3)
+    if kind == "array":
+        items = [ws() + _json_text(rng, depth - 1) + ws() for _ in range(n)]
+        return "[" + ",".join(items) + ws() + "]"
+    props = [ws() + (rng.choice(_KEYS) if rng.random() < 0.5 else string()) + ws() + ":" + ws()
+             + _json_text(rng, depth - 1) + ws() for _ in range(n)]
+    return "{" + ",".join(props) + ws() + "}"
+
+
+_SNIPPETS = ['"', "\\", "\\u", "\\ud800", "\\udc00", "\\x", "\x01", "{", "}", "[", "]", ":", ",",
+             "-", ".", "e", "E", "+", "0", "9", "E999", "@", "z", "\t", " ", "0x"]
+
+# Each case that reaches one of these messages is counted; every message must be reached.
+_MESSAGES = [
+    "expected a JSON value", "unexpected identifier", "expected a property name", "expected ':'",
+    "expected '}'", "expected ']'", "trailing content after JSON value", "unterminated string",
+    "control character in string", "unterminated escape", "invalid escape", "invalid \\u escape",
+    "invalid low surrogate", "lone surrogate escape", "expected a digit",
+    "expected a digit after the decimal point", "expected an exponent digit", "number out of range",
+]
+
+
+def _corruptions(rng, text: str) -> list:
+    """One seeded insertion, deletion, replacement and truncation of text."""
+    i = rng.randrange(len(text) + 1)
+    j = min(i, len(text) - 1)
+    return [text[:i] + rng.choice(_SNIPPETS) + text[i:], text[:j] + text[j + 1:],
+            text[:j] + rng.choice(_SNIPPETS) + text[j + 1:], text[:i]]
+
+
+def test_parser_agrees_with_the_old_parser():
+    # Equal terms, or the same error class, message, line and col.
+    rng = random.Random(2424)
+    texts = ["", " ", "[", "{", "[1,]", "{a:1,}", "{a 1}", "1 2", "tru", '"\\ud800\\u0041"',
+             '"\\udc00"', '"a', '"\\', "-", "1.", "1e", "1E999", "01", "[1 2]", "{a:1 b:2}"]
+    for _ in range(500):
+        text = _json_text(rng, rng.randint(0, 4))
+        texts.append(text)
+        texts += _corruptions(rng, text)
+    agree, reached = 0, Counter()
+    for text in texts:
+        want, got = outcome(parse_json_oracle, text), outcome(parse_json, text)
+        assert got == want, text
+        if isinstance(want, tuple):
+            message = re.sub(r"^line \d+, col \d+: ", "", want[1])
+            reached[max((m for m in _MESSAGES if message.startswith(m)), key=len)] += 1
+        else:
+            agree += 1
+    assert agree > 500 and set(reached) == set(_MESSAGES), (agree, reached)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 600 + "]" * 600, "{a:" * 600 + "1" + "}" * 600, "[" * 600 + "]" * 599 + "}",
+], ids=["arrays", "objects", "mismatched"])
+def test_parser_agrees_past_the_old_depth_limit(text):
+    # The old parser raised "input nests too deeply" past about 494 levels; with
+    # more stack it gives what the new parser gives at any recursion limit.
+    assert outcome(parse_json_oracle, text)[1].endswith("input nests too deeply")
+    got = outcome(parse_json, text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        want = outcome(parse_json_oracle, text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from collections import Counter
 
@@ -15,6 +18,8 @@ from support import (
     pretty_term_oracle,
     replace_at,
     term_equals,
+    term_hash_oracle,
+    term_repr_oracle,
 )
 from csbb.jsonlang import (
     JSON_SIGNATURE,
@@ -41,8 +46,10 @@ from csbb.terms import (
     check_term,
     decode_term,
     encode_term,
+    just_,
     list_of,
     maybe_of,
+    nothing_,
     parse_signature,
     prim,
     render_signature,
@@ -315,6 +322,62 @@ def test_equality_and_hash_agree_with_the_oracle():
         if expected:
             assert hash(a) == hash(b)
     assert min(seen.values()) > 100
+
+
+def _seeded_terms(rng) -> list:
+    terms = [gen_json_term(rng, 3) for _ in range(150)]
+    ints = [Prim("int", rng.randint(-9, 9)) for _ in range(3)]
+    terms += [ListTerm(ints, prim("int")), just_(Prim("str", "x")), nothing_(), Con("x", "T")]
+    return terms
+
+
+def test_node_hash_and_repr_agree_with_the_oracles():
+    terms = _seeded_terms(random.Random(2425))
+    for t in terms:
+        assert hash(t) == term_hash_oracle(t) == hash(t)
+        assert repr(t) == term_repr_oracle(t)
+    # A node over subterms hashed before hashes as if none were.
+    t = Con("pair", "T", (terms[0], terms[1], terms[0]))
+    assert hash(t) == term_hash_oracle(t)
+    assert repr(Con("x", "T", (1, "a"))) == "Con(name='x', type='T', args=(1, 'a'))"
+
+
+def test_node_dataclass_contract():
+    fields = {c: [(f.name, f.type) for f in dataclasses.fields(c)] for c in (Con, Prim, ListTerm)}
+    assert fields == {
+        Con: [("name", "str"), ("type", "str"), ("args", "tuple")],
+        Prim: [("kind", "str"), ("value", "int | float | bool | str")],
+        ListTerm: [("elems", "tuple"), ("elem_type", "ArgType")],
+    }
+    assert Con("x", "T").args == () and Con("x", "T", [number(1.0)]).args == (number(1.0),)
+    assert ListTerm([null_()], adt("JSON")).elems == (null_(),)
+    for t in _seeded_terms(random.Random(2426)):
+        hash(t)  # a stored hash is not part of the value
+        for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+                      dataclasses.replace(t)):
+            assert type(other) is type(t) and other == t and hash(other) == hash(t)
+    t = number(1.0)
+    assert dataclasses.replace(t, name="string", args=(Prim("str", "a"),)) == string("a")
+    for node in (t, t.args[0], ListTerm((), adt("JSON"))):
+        for name in ("name", "kind", "elems", "_hash", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+    assert not hasattr(t, "__dict__")
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("real", 1, "real primitive cannot hold 1"), ("int", True, "int primitive cannot hold True"),
+    ("bool", 0, "bool primitive cannot hold 0"), ("str", b"a", "str primitive cannot hold b'a'"),
+    ("int", 1.0, "int primitive cannot hold 1.0"), ("char", "a", "char primitive cannot hold 'a'"),
+    ("real", float("inf"), "real primitives must be finite"),
+    ("real", float("nan"), "real primitives must be finite"),
+])
+def test_prim_rejects_a_mismatched_kind_or_a_non_finite_real(kind, value, message):
+    with pytest.raises(ValueError) as exc:
+        Prim(kind, value)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,15 @@ def test_parse_negative_int_guard():
     assert s.mappings[0].rules[0].fields[0].literal.value == -1
 
 
+@pytest.mark.parametrize("sign", ["", "- "])
+def test_int_guard_past_the_digit_limit_is_a_syntax_error(sign):
+    # int() refuses more than 4,300 digits; the literal is reported where it starts.
+    text = "mapping M export a types Lit => L constructors Lit - getValue == " + sign
+    with pytest.raises(TympanicSyntaxError) as exc:
+        parse_tympanic(text + "9" * 5000 + ": big()")
+    assert str(exc.value) == f"line 1, col {len(text) + 1}: integer literal has too many digits"
+
+
 # ---------------------------------------------------------------------------
 # schema
 
